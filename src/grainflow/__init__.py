@@ -4,21 +4,21 @@ Both the boundary network and the grain interiors are meshed.  Nodes are
 classed by topological degree (P at junctions, L on boundary lines, S in the
 bulk), geometric entities (points, lines, surfaces) are reconstructed on top
 of them, and each increment combines selective remeshing, spline curvature,
-junction kinetics and Lagrangian motion.  The same engine runs partitioned
-over a message transport, with entity identities kept consistent across
-workers.
+junction kinetics and Lagrangian motion.  The engine runs partitioned over a
+message transport, with entity identities kept consistent across workers; a
+sequential run is the one-worker case of the same code.
 
 Core modules:
     mesh          array-backed triangular mesh, ids never reused
     entities      topological tagging and geometric entity reconstruction
     remesh        selective collapse / smooth / glide / split / swap pass
     geometry      spline curvature and junction curvature evaluation
-    motion        mobility, velocities, junction decomposition, increments
+    motion        mobility, wall constraints, junction decomposition
     tessellation  weighted-Voronoi microstructure generation and meshing
     wire          versioned binary record formats for worker exchange
     transport     collective message transport (in-process and MPI)
     partitioning  dual-graph element partitioning
-    protocol      distributed evolution: ranking, scattering, shared nodes
+    protocol      the increment: ranking, scattering, shared nodes, motion
     stats         grain statistics, histograms, parallel efficiency
     runner, cli   simulation driver and command line front end
 """

@@ -7,7 +7,7 @@ import glob
 import os
 import sys
 
-from .runner import ConfigError, make_config, parse_config, run
+from .runner import BACKENDS, ConfigError, make_config, parse_config, run
 from .stats import read_stats_csv
 
 
@@ -22,7 +22,9 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--parts", type=int, help="number of workers")
     r.add_argument("--increments", type=int)
     r.add_argument("--seed", type=int)
-    r.add_argument("--backend", choices=("inproc", "mp"))
+    r.add_argument("--backend", choices=BACKENDS,
+                   help="inproc: worker threads in this process; "
+                        "mpi: one rank per MPI process (needs mpi4py)")
     r.add_argument("--out", help="output directory")
 
     s = sub.add_parser("stats", help="summarize a finished run directory")

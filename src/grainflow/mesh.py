@@ -67,6 +67,47 @@ class Mesh:
         self.n2e: dict[int, set[int]] = {}
         self.shared: dict[int, set[int]] = {}
 
+    @classmethod
+    def from_arrays(cls, nids, pos, eids, tri, surf, topo=None, entity=None,
+                    bnd=None, prv=None, nxt=None) -> "Mesh":
+        """Bulk construction from per-node and per-element arrays.
+
+        Node data is aligned with ``nids`` and element data with ``eids``;
+        omitted node data takes the ``add_node`` defaults.  Ids must be
+        unique and elements may reference only the given nodes.  Elements
+        enter the node patches in ascending id order, as ``add_element``
+        calls in that order would leave them.
+        """
+        nids = np.asarray(nids, dtype=np.int64)
+        eids = np.asarray(eids, dtype=np.int64)
+        tri = np.asarray(tri, dtype=np.int64).reshape(-1, 3)
+        if (len(np.unique(nids)) != len(nids)
+                or len(np.unique(eids)) != len(eids)):
+            raise MeshError("duplicate node or element id")
+        mesh = cls()
+        if len(nids):
+            mesh._grow_nodes(int(nids.max()))
+        if len(eids):
+            mesh._grow_elems(int(eids.max()))
+        mesh.pos[nids] = pos
+        for name, vals in (("topo", topo), ("entity", entity), ("bnd", bnd),
+                           ("prv", prv), ("nxt", nxt)):
+            if vals is not None:
+                getattr(mesh, name)[nids] = vals
+        mesh.node_alive[nids] = True
+        if len(tri) and (tri.min() < 0 or tri.max() >= len(mesh.node_alive)
+                         or not mesh.node_alive[tri].all()):
+            raise MeshError("element references a missing node")
+        mesh.tri[eids] = tri
+        mesh.surf[eids] = surf
+        mesh.elem_alive[eids] = True
+        mesh.n2e = {n: set() for n in nids.tolist()}
+        order = np.argsort(eids, kind="stable")
+        for e, row in zip(eids[order].tolist(), tri[order].tolist()):
+            for n in row:
+                mesh.n2e[n].add(e)
+        return mesh
+
     # -- storage ------------------------------------------------------------
 
     def _grow_nodes(self, nid: int) -> None:

@@ -1,11 +1,10 @@
-"""Curvature-driven interface motion.
+"""Curvature-driven interface motion: mobility and local rules.
 
 Node velocities follow v = m * kappa, with m the reduced mobility and kappa
-the curvature vector of the interface: spline-evaluated along line chains,
-and assembled from the adjacent boundary edges at junctions.  Wall nodes are
-constrained to slide along their wall and corners never move.  Positions
-advance with flip protection, subdividing the time step whenever the fastest
-node would otherwise cross a sizable fraction of the target spacing.
+the curvature vector of the interface.  This module holds the pieces the
+increment in ``protocol`` builds them from: the mobility, the boundary edges
+(arms) a junction's curvature is assembled from, and the wall constraint,
+under which wall nodes slide along their wall and corners never move.
 
 Junctions where more than three interfaces meet are unstable; they are
 decomposed into triple junctions by peeling off the closest pair of arms
@@ -20,12 +19,10 @@ import numpy as np
 from scipy.constants import R as GAS_CONSTANT
 
 from .entities import (KIND_LINE, KIND_POINT, EntityGraph, Line, Point,
-                       is_interface_edge, line_segments, lnodes_by_line)
-from .geometry import closed_curvature, junction_curvature, open_curvature
+                       is_interface_edge, lnodes_by_line)
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
                    Mesh, TopologyError, _tri_area, is_domain_boundary_edge)
-from .remesh import MIN_AREA, RemeshCtx, remesh_pass, settle_offsets
-from .state import SimState
+from .remesh import MIN_AREA
 
 MOBILITY_PREFACTOR = 1.56e11    # mm^4 / (J s)
 ACTIVATION_ENERGY = 2.8e5       # J / mol
@@ -54,42 +51,6 @@ def constrain_to_walls(mesh: Mesh, vel: np.ndarray) -> None:
     vel[mesh.bnd == BND_TANGENT_X, 1] = 0.0
     vel[mesh.bnd == BND_TANGENT_Y, 0] = 0.0
     vel[mesh.bnd == BND_CORNER] = 0.0
-
-
-def node_velocities(mesh: Mesh, graph: EntityGraph,
-                    mobility: float) -> np.ndarray:
-    """Curvature velocity for every line and junction node, walls applied.
-
-    Bulk nodes carry zero velocity; they follow through smoothing.
-    """
-    vel = np.zeros_like(mesh.pos)
-    members = lnodes_by_line(mesh)
-    chains = []
-    for lid in sorted(graph.lines):
-        for seg in line_segments(mesh, lid, members.get(lid, [])):
-            if seg.closed:
-                ids = np.asarray(seg.nodes)
-                vel[ids] = mobility * closed_curvature(mesh.pos[ids])
-            else:
-                chains.append(np.asarray(seg.nodes))
-    if chains:
-        for ids, kap in zip(chains, open_curvature([mesh.pos[c]
-                                                    for c in chains])):
-            line_nodes = mesh.topo[ids] == LNODE
-            vel[ids[line_nodes]] = mobility * kap[line_nodes]
-    for pid in sorted(graph.points):
-        n = graph.points[pid].node
-        vel[n] = mobility * junction_curvature(mesh.pos[n],
-                                               junction_arms(mesh, n))
-    constrain_to_walls(mesh, vel)
-    return vel
-
-
-def move_nodes(mesh: Mesh, vel: np.ndarray, dt: float) -> int:
-    """Advance nodes by vel * dt, backing off wherever elements would flip."""
-    nodes = mesh.alive_nodes()
-    nodes = nodes[(vel[nodes] != 0.0).any(axis=1)]
-    return settle_offsets(mesh, nodes, vel[nodes] * dt)
 
 
 # -- junction decomposition --------------------------------------------------
@@ -224,45 +185,20 @@ def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
     return True
 
 
-def decompose_junctions(mesh: Mesh, graph: EntityGraph, alloc, params,
-                        skip_shared: bool = True) -> int:
-    """Split every junction with more than three arms; returns the count."""
+def decompose_junctions(mesh: Mesh, graph: EntityGraph, alloc, params) -> int:
+    """Split every junction with more than three arms; returns the count.
+
+    Junctions on partition-shared nodes are left alone: their arms are not
+    all local, so no single owner could peel them consistently.
+    """
     delta = JUNCTION_OFFSET_FRAC * params.h
     done = 0
     for pid in sorted(graph.points):
         pt = graph.points.get(pid)
         if pt is None:
             continue
-        if skip_shared and mesh.is_shared(pt.node):
+        if mesh.is_shared(pt.node):
             continue
         while _split_junction(mesh, graph, alloc, pt.node, delta):
             done += 1
     return done
-
-
-# -- time stepping -----------------------------------------------------------
-
-def gg_increment(state: SimState, dt: float, mobility: float | None = None,
-                 max_travel_frac: float = 0.25):
-    """One sequential evolution increment.
-
-    Mesh maintenance runs first, then junction decomposition, then motion.
-    The motion substep count is chosen so no node travels more than
-    ``max_travel_frac * h`` per substep, with velocities recomputed between
-    substeps.
-    """
-    if mobility is None:
-        mobility = reduced_mobility()
-    ctx = RemeshCtx(state.mesh, state.graph, state.alloc, state.params)
-    stats = remesh_pass(ctx)
-    decompose_junctions(state.mesh, state.graph, state.alloc, state.params,
-                        skip_shared=state.n_parts > 1)
-    cap = max_travel_frac * state.params.h
-    vel = node_velocities(state.mesh, state.graph, mobility)
-    vmax = float(np.linalg.norm(vel, axis=1).max()) if len(vel) else 0.0
-    n_sub = max(1, int(np.ceil(vmax * dt / cap))) if vmax > 0.0 else 1
-    for i in range(n_sub):
-        if i > 0:
-            vel = node_velocities(state.mesh, state.graph, mobility)
-        move_nodes(state.mesh, vel, dt / n_sub)
-    return stats

@@ -146,28 +146,26 @@ def _pick_trade(parts, adj, elems, sizes):
 
 
 def restrict_mesh(mesh: Mesh, parts: np.ndarray, rank: int) -> Mesh:
-    """The sub-mesh of one part, with global ids and node data intact."""
-    sub = Mesh()
-    for e in mesh.alive_elems():
-        e = int(e)
-        if parts[e] != rank:
-            continue
-        for n in mesh.tri[e]:
-            n = int(n)
-            if not sub.alive_node(n):
-                sub.add_node(n, mesh.pos[n], topo=int(mesh.topo[n]),
-                             entity=int(mesh.entity[n]), bnd=int(mesh.bnd[n]))
-        sub.add_element(e, mesh.tri[e], int(mesh.surf[e]))
+    """The sub-mesh of one part, with global ids and node data intact.
+
+    A part holding every live element gets ``mesh`` itself back, not a copy.
+    """
+    eids = mesh.alive_elems()
+    mine = eids[parts[eids] == rank]
+    if len(mine) == len(eids):
+        return mesh
+    nids = np.unique(mesh.tri[mine])
+    topo = mesh.topo[nids]
     # a chain link survives only when the referenced node came along too
-    for n in sub.alive_nodes():
-        n = int(n)
-        if sub.topo[n] != LNODE:
-            continue
-        for attr in ("prv", "nxt"):
-            m = int(getattr(mesh, attr)[n])
-            if m != NULL_ID and sub.alive_node(m):
-                getattr(sub, attr)[n] = m
-    return sub
+    links = {}
+    for attr in ("prv", "nxt"):
+        ref = getattr(mesh, attr)[nids]
+        links[attr] = np.where((topo == LNODE) & np.isin(ref, nids),
+                               ref, NULL_ID)
+    return Mesh.from_arrays(nids, mesh.pos[nids], mine, mesh.tri[mine],
+                            mesh.surf[mine], topo=topo,
+                            entity=mesh.entity[nids], bnd=mesh.bnd[nids],
+                            **links)
 
 
 def save_partition(path, parts: np.ndarray) -> None:

@@ -1,8 +1,10 @@
 """The distributed evolution protocol.
 
 Every worker owns one partition and all workers execute the same program
-order, meeting only in transport collectives.  The pieces here keep the
-partitions telling one consistent story:
+order, meeting only in transport collectives.  A sequential run is the
+one-worker case of the same program: nothing is shared, nothing migrates,
+and every collective just hands a worker its own payload back.  The pieces
+here keep the partitions telling one consistent story:
 
 * a shared-node registry built from global node ids,
 * identity regularization, which renames entities until all co-owners of a
@@ -36,9 +38,10 @@ from .geometry import closed_curvature, curvature_at, junction_curvature, \
 from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
                    is_domain_boundary_edge)
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
-                     node_velocities, reduced_mobility)
+                     reduced_mobility)
 from .partitioning import restrict_mesh
-from .remesh import MIN_AREA, RemeshCtx, _pick_survivor, remesh_pass
+from .remesh import (BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA,
+                     RemeshCtx, _pick_survivor, remesh_pass)
 from .state import Alloc, RemeshParams, SimState, _stride_base, local_ceilings
 from .transport import Transport
 from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
@@ -46,10 +49,6 @@ from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
                    decode_records, encode_records)
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
-
-# mirror of the sequential back-off loop in remesh.settle_offsets
-_MOVE_ROUNDS = 80
-_MIN_FACTOR = 2.0 ** -12
 
 # how many chain nodes each side contributes to a shared-node stencil
 _STENCIL_DEPTH = 2
@@ -657,17 +656,16 @@ def _check_prefix(short, long, nid):
 
 def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
                              support: StencilSupport) -> np.ndarray:
-    """Curvature velocities when part of every stencil may live remotely.
+    """Curvature velocity for every line and junction node, walls applied.
 
-    Without shared nodes this is exactly the sequential evaluation.  Open
-    segments are extended by the far-side samples before spline fitting;
-    shared line nodes are then re-evaluated on a canonical five-point
-    window, and shared junctions use the merged global arm set, so all
-    owners produce bit-identical values.
+    Closed loops get a periodic spline, open segments one batched natural
+    spline solve, junctions the arm formula; bulk nodes carry zero velocity
+    and follow through smoothing.  Part of a stencil may live remotely: open
+    segments are extended by the far-side samples before spline fitting,
+    shared line nodes are re-evaluated on a canonical five-point window, and
+    shared junctions use the merged global arm set, so all owners produce
+    bit-identical values.
     """
-    if not mesh.shared:
-        return node_velocities(mesh, graph, mobility)
-
     vel = np.zeros_like(mesh.pos)
     members = lnodes_by_line(mesh)
     chains: list[np.ndarray] = []
@@ -741,14 +739,15 @@ def _shared_window_curvature(mesh, support, lid, nid):
 
 def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
                   delta: np.ndarray) -> int:
-    """Collective twin of the sequential flip back-off.
+    """Advance nodes by ``delta``, backing off wherever elements would flip.
 
-    Same cascade: positions from a per-node factor on the full offset,
-    factors halving at nodes of inverted elements.  Every round the workers
-    agree on the shared nodes to damp, so co-owners keep identical factors
-    and identical coordinates; a round with purely private flips still
-    reports a sentinel to keep everyone in the loop.  If the budget runs
-    out, all workers revert together.
+    The cascade of ``remesh.settle_offsets``, run collectively: positions
+    from a per-node factor on the full offset, factors halving at nodes of
+    inverted elements.  Every round the workers agree on the shared nodes
+    to damp, so co-owners keep identical factors and identical coordinates;
+    a round with purely private flips still reports a sentinel to keep
+    everyone in the loop.  If the budget runs out, all workers revert
+    together.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     base = mesh.pos[nodes].copy()
@@ -757,7 +756,7 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
     if len(nodes):
         lookup[nodes] = np.arange(len(nodes))
     eids = mesh.alive_elems()
-    for _ in range(_MOVE_ROUNDS):
+    for _ in range(BACKOFF_ROUNDS):
         mesh.pos[nodes] = base + f[:, None] * delta
         areas = mesh.areas(eids)
         bad = eids[areas <= MIN_AREA]
@@ -782,7 +781,7 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
         if damp:
             di = np.fromiter(damp, dtype=np.int64)
             f[di] *= 0.5
-            f[f < _MIN_FACTOR] = 0.0
+            f[f < BACKOFF_MIN_FACTOR] = 0.0
     else:
         mesh.pos[nodes] = base
         return 0
@@ -794,7 +793,7 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
 def parallel_increment(transport: Transport, state: SimState, dt: float,
                        mobility: float | None = None,
                        max_travel_frac: float = 0.25):
-    """One collective evolution increment.
+    """One evolution increment of this worker, in lockstep with its peers.
 
     Maintenance first with boundary operations blocked, then load balancing
     by ranking and scattering, a second maintenance pass confined to the
@@ -802,6 +801,10 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     boundary, stencil completion, and finally the damped collective motion.
     Junctions decompose before stencils are gathered: a peel can rewire a
     chain within stencil reach, and co-owners must fit identical knots.
+    The motion substep count is chosen so no node travels more than
+    ``max_travel_frac * h`` per substep, with velocities recomputed between
+    substeps.  A single worker runs the same steps: it shares no nodes,
+    sends no elements and its second maintenance pass has nothing in scope.
     """
     if mobility is None:
         mobility = reduced_mobility()
@@ -819,8 +822,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
              if mesh.alive_node(n)}
     remesh_pass(ctx, scope=scope)
 
-    decompose_junctions(mesh, graph, state.alloc, state.params,
-                        skip_shared=transport.size > 1)
+    decompose_junctions(mesh, graph, state.alloc, state.params)
     support = complete_temporary_nodes(transport, mesh, graph)
     vel = node_velocities_parallel(mesh, graph, mobility, support)
 
@@ -849,7 +851,8 @@ def bootstrap_state(transport: Transport, full_mesh: Mesh,
     Every worker constructs the same tessellation, tags it, reconstructs the
     same entity graph and applies the same partition, so all ids agree from
     the start; the restriction just keeps the local slice, with chain links
-    cut at the boundary exactly as a scatter would leave them.  Identity
+    cut at the boundary exactly as a scatter would leave them; a part that
+    holds every element evolves the full mesh itself, not a copy.  Identity
     regularization still runs once at the end as a cross-check of the
     exchange plumbing.
     """
@@ -892,7 +895,7 @@ def bootstrap_state(transport: Transport, full_mesh: Mesh,
     nc, ec = local_ceilings(full_mesh)
     state = SimState(mesh=sub, graph=graph,
                      alloc=Alloc.fresh(nc, ec, rank, n_parts),
-                     params=RemeshParams(h=h), rank=rank, n_parts=n_parts)
+                     params=RemeshParams(h=h))
     detect_shared_nodes(transport, sub)
     regularize_identities(transport, sub, graph)
     return state

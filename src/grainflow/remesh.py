@@ -41,6 +41,11 @@ from .state import Alloc, RemeshParams
 MIN_AREA = 1e-12
 SQRT3_4 = 4.0 * np.sqrt(3.0)
 
+# flip back-off: at most this many halving rounds, and a node whose offset
+# factor drops below the floor stops moving altogether
+BACKOFF_ROUNDS = 80
+BACKOFF_MIN_FACTOR = 2.0 ** -12
+
 
 @dataclass
 class PassStats:
@@ -494,7 +499,7 @@ def settle_offsets(mesh: Mesh, nodes: np.ndarray, delta: np.ndarray) -> int:
     lookup = np.full(len(mesh.node_alive), -1, dtype=np.int64)
     lookup[nodes] = np.arange(len(nodes))
     eids = mesh.alive_elems()
-    for _ in range(80):
+    for _ in range(BACKOFF_ROUNDS):
         mesh.pos[nodes] = base + f[:, None] * delta
         areas = _tri_area(mesh.pos[mesh.tri[eids]])
         bad = eids[areas <= MIN_AREA]
@@ -503,7 +508,7 @@ def settle_offsets(mesh: Mesh, nodes: np.ndarray, delta: np.ndarray) -> int:
         idx = lookup[mesh.tri[bad]]
         idx = np.unique(idx[idx >= 0])
         f[idx] *= 0.5
-        f[f < 2.0 ** -12] = 0.0
+        f[f < BACKOFF_MIN_FACTOR] = 0.0
     else:
         mesh.pos[nodes] = base
         return 0
@@ -772,7 +777,13 @@ def swap_sweep(ctx: RemeshCtx, scope: set[int] | None = None) -> int:
 # -- one full pass -----------------------------------------------------------
 
 def remesh_pass(ctx: RemeshCtx, scope: set[int] | None = None) -> PassStats:
-    """Run the maintenance operators once, in their canonical order."""
+    """Run the maintenance operators once, in their canonical order.
+
+    With a ``scope`` only candidates touching those nodes are visited; an
+    empty scope has none, so the pass is skipped outright.
+    """
+    if scope is not None and not scope:
+        return PassStats()
     stats = collapse_sweep(ctx, scope)
     mesh = ctx.mesh
     if scope is None:

@@ -2,9 +2,9 @@
 
 A run tessellates the starting structure, evolves it for a fixed number of
 increments and emits stats.csv, timings.csv plus VTK snapshots and grain
-size histograms at the configured cadence.  With one worker the sequential
-increment is used directly; with several, every worker executes the same
-driver body in lockstep and rank 0 alone touches the disk.
+size histograms at the configured cadence.  Every run goes through the same
+worker body, a sequential run being the one-worker case: all workers
+execute it in lockstep and rank 0 alone touches the disk.
 """
 
 from __future__ import annotations
@@ -15,19 +15,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entities import reconstruct_entities, tag_nodes
 from .mesh import Mesh, write_vtk
-from .motion import gg_increment, reduced_mobility
+from .motion import reduced_mobility
 from .partitioning import initial_partition, load_partition
 from .protocol import bootstrap_state, parallel_increment
-from .state import SimState
 from .stats import (StatsRecord, erom, grain_size_histogram,
                     mean_grain_size_weighted, merge_areas, surface_areas,
                     write_hist_csv, write_stats_csv, write_timings_csv)
 from .tessellation import tessellate
 from .transport import MpiTransport, Transport, run_workers
 
-BACKENDS = ("inproc", "mp")
+BACKENDS = ("inproc", "mpi")
 
 
 class ConfigError(ValueError):
@@ -139,28 +137,7 @@ class _Emitter:
         write_timings_csv(os.path.join(self.cfg.out, "timings.csv"), self.walls)
 
 
-def _run_sequential(cfg: RunConfig) -> None:
-    mesh = _build_initial(cfg)
-    tag_nodes(mesh)
-    graph = reconstruct_entities(mesh)
-    state = SimState.sequential(mesh, graph, cfg.h)
-    mobility = reduced_mobility(temperature=cfg.temperature)
-    emit = _Emitter(cfg)
-
-    def snapshot(inc: int, wall: float) -> None:
-        _, areas = surface_areas(mesh)
-        counts = (len(mesh.alive_elems()),)
-        emit.step(inc, areas, counts, wall, mesh if _due(cfg, inc) else None)
-
-    snapshot(0, 0.0)
-    for inc in range(1, cfg.increments + 1):
-        t0 = time.perf_counter()
-        gg_increment(state, cfg.dt, mobility)
-        snapshot(inc, time.perf_counter() - t0)
-    emit.finish()
-
-
-# -- multi-worker path -------------------------------------------------------
+# -- worker body -------------------------------------------------------------
 
 def _pack_areas(sids: np.ndarray, areas: np.ndarray) -> bytes:
     return (np.int64(len(sids)).tobytes() + sids.astype(np.int64).tobytes()
@@ -201,15 +178,10 @@ def _unpack_piece(buf: bytes):
 def assemble_global(pieces) -> Mesh:
     """Merge per-worker meshes into one; element ownership is disjoint and
     coupling nodes carry identical coordinates on every owner."""
-    mesh = Mesh()
-    for buf in pieces:
-        nids, pos, eids, tri, surf = _unpack_piece(buf)
-        for nid, xy in zip(nids, pos):
-            if nid >= len(mesh.node_alive) or not mesh.node_alive[nid]:
-                mesh.add_node(int(nid), xy)
-        for eid, row, sid in zip(eids, tri, surf):
-            mesh.add_element(int(eid), row, int(sid))
-    return mesh
+    unpacked = [_unpack_piece(b) for b in pieces]
+    nids, pos, eids, tri, surf = (np.concatenate(c) for c in zip(*unpacked))
+    nids, first = np.unique(nids, return_index=True)
+    return Mesh.from_arrays(nids, pos[first], eids, tri, surf)
 
 
 def _run_worker(transport: Transport, cfg: RunConfig) -> None:
@@ -219,6 +191,7 @@ def _run_worker(transport: Transport, cfg: RunConfig) -> None:
     else:
         parts = initial_partition(full, cfg.n_parts)
     state = bootstrap_state(transport, full, parts, cfg.h)
+    del full, parts  # with several parts, only this rank's slice stays alive
     mesh = state.mesh
     mobility = reduced_mobility(temperature=cfg.temperature)
     emit = _Emitter(cfg) if transport.rank == 0 else None
@@ -247,9 +220,7 @@ def run(cfg: RunConfig) -> None:
     """Execute one experiment and write its artifacts under ``cfg.out``."""
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
-    if cfg.n_parts == 1:
-        _run_sequential(cfg)
-    elif cfg.backend == "inproc":
+    if cfg.backend == "inproc":
         run_workers(cfg.n_parts, lambda t: _run_worker(t, cfg))
     else:
         transport = MpiTransport()

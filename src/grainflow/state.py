@@ -9,7 +9,7 @@ locally reused id could collide with a node that migrates in later).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .entities import EntityGraph, StrideCounter
 from .mesh import Mesh
@@ -67,12 +67,3 @@ class SimState:
     graph: EntityGraph
     alloc: Alloc
     params: RemeshParams
-    rank: int = 0
-    n_parts: int = 1
-
-    @classmethod
-    def sequential(cls, mesh: Mesh, graph: EntityGraph, h: float) -> "SimState":
-        nc, ec = local_ceilings(mesh)
-        return cls(mesh=mesh, graph=graph,
-                   alloc=Alloc.fresh(nc, ec, 0, 1),
-                   params=RemeshParams(h=h))

@@ -108,8 +108,9 @@ class InProcessTransport:
 
 
 def run_workers(n_parts: int, fn: Callable[[Transport], T]) -> list[T]:
-    """Run ``fn(transport)`` on ``n_parts`` worker threads and collect the
-    per-rank results.  The first real worker exception is re-raised; peers
+    """Run ``fn(transport)`` for ranks ``0 .. n_parts - 1`` and collect the
+    per-rank results.  Rank 0 runs on the calling thread, the others on
+    worker threads.  The first real worker exception is re-raised; peers
     that died on the resulting broken barrier are not reported."""
     exchange = InProcessExchange(n_parts)
     results: list[T | None] = [None] * n_parts
@@ -123,17 +124,23 @@ def run_workers(n_parts: int, fn: Callable[[Transport], T]) -> list[T]:
             exchange.abort()
 
     threads = [threading.Thread(target=body, args=(r,), name=f"part-{r}")
-               for r in range(n_parts)]
+               for r in range(1, n_parts)]
     for t in threads:
         t.start()
+    body(0)
     for t in threads:
         t.join()
-    for exc in errors:
-        if exc is not None and not isinstance(exc, TransportAborted):
-            raise exc
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    failed = [e for e in errors if e is not None]
+    # the exceptions' frames reach ``errors`` through ``body``: without this
+    # cycle break a failed run's state would outlive it until the cyclic GC
+    errors.clear()
+    if failed:
+        first = next((e for e in failed
+                      if not isinstance(e, TransportAborted)), failed[0])
+        try:
+            raise first
+        finally:
+            del first, failed
     return results  # type: ignore[return-value]
 
 

@@ -4,6 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from grainflow.transport import run_workers
+
+
+def one_rank(fn):
+    """``fn(transport)`` as the only worker of an in-process group, the way
+    a sequential run executes; returns what ``fn`` returns."""
+    (out,) = run_workers(1, fn)
+    return out
+
 
 def parse_vtk(path):
     """Minimal reader for the legacy ASCII files we write.

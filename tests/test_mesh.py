@@ -6,7 +6,7 @@ import pytest
 from grainflow.mesh import (
     Mesh, MeshError, TopologyError, build_mesh, signed_area, element_patch,
     dual_graph, write_vtk, is_domain_boundary_edge,
-    BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, NULL_ID,
+    BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, LNODE, NULL_ID, SNODE,
 )
 from .conftest import grid_mesh
 from .helpers import parse_vtk
@@ -172,3 +172,36 @@ def test_areas_vectorized_matches_scalar():
     for eid, a in zip(m.alive_elems(), areas):
         assert a == pytest.approx(signed_area(m, eid))
     assert areas.sum() == pytest.approx(1.0)
+
+
+def test_from_arrays_matches_incremental_build():
+    ref = grid_mesh(4, 3, tag_fn=lambda cx, cy: int(cx > 0.5))
+    ref.remove_element(5)
+    ref.topo[7], ref.entity[7], ref.prv[7], ref.nxt[7] = LNODE, 42, 6, 8
+    nids, eids = ref.alive_nodes(), ref.alive_elems()[::-1]
+    m = Mesh.from_arrays(nids, ref.pos[nids], eids, ref.tri[eids],
+                         ref.surf[eids], topo=ref.topo[nids],
+                         entity=ref.entity[nids], bnd=ref.bnd[nids],
+                         prv=ref.prv[nids], nxt=ref.nxt[nids])
+    assert np.array_equal(m.alive_nodes(), nids)
+    assert np.array_equal(m.alive_elems(), ref.alive_elems())
+    for name in ("pos", "topo", "entity", "bnd", "prv", "nxt"):
+        assert np.array_equal(getattr(m, name)[nids],
+                              getattr(ref, name)[nids]), name
+    assert np.array_equal(m.tri[eids], ref.tri[eids])
+    assert np.array_equal(m.surf[eids], ref.surf[eids])
+    assert m.n2e == ref.n2e
+    bare = Mesh.from_arrays(nids, ref.pos[nids], eids, ref.tri[eids],
+                            ref.surf[eids])
+    assert (bare.topo[nids] == SNODE).all()
+    assert (bare.prv[nids] == NULL_ID).all()
+
+
+def test_from_arrays_rejects_bad_input():
+    pos = np.zeros((3, 2))
+    with pytest.raises(MeshError):
+        Mesh.from_arrays([0, 1, 1], pos, [0], [(0, 1, 2)], [0])
+    with pytest.raises(MeshError):
+        Mesh.from_arrays([0, 1, 2], pos, [0, 0], [(0, 1, 2)] * 2, [0, 0])
+    with pytest.raises(MeshError):
+        Mesh.from_arrays([0, 1, 2], pos, [0], [(0, 1, 3)], [0])

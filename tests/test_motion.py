@@ -11,11 +11,14 @@ from grainflow.geometry import junction_curvature
 from grainflow.mesh import (BND_CORNER, BND_NONE, BND_TANGENT_X, LNODE, PNODE,
                             SNODE, build_mesh)
 from grainflow.motion import (constrain_to_walls, decompose_junctions,
-                              gg_increment, junction_arms, move_nodes,
-                              node_velocities, reduced_mobility)
+                              junction_arms, reduced_mobility)
+from grainflow.protocol import (complete_temporary_nodes,
+                                node_velocities_parallel, parallel_increment,
+                                parallel_move)
 from grainflow.state import Alloc, RemeshParams, SimState, local_ceilings
 
 from .conftest import grid_mesh, reconstructed
+from .helpers import one_rank
 
 
 def make_state(mesh, graph, h):
@@ -26,6 +29,15 @@ def make_state(mesh, graph, h):
 
 def total_area(mesh):
     return float(mesh.areas().sum())
+
+
+def velocities(mesh, graph, mobility):
+    return one_rank(lambda t: node_velocities_parallel(
+        mesh, graph, mobility, complete_temporary_nodes(t, mesh, graph)))
+
+
+def increment(state, dt, mobility=None):
+    return one_rank(lambda t: parallel_increment(t, state, dt, mobility))
 
 
 def test_reduced_mobility_reference_value():
@@ -66,7 +78,7 @@ def test_velocity_shrinks_circular_grain():
     r = 0.3
     mesh, graph = disk_island(r=r, n_ring=16)
     m = reduced_mobility()
-    vel = node_velocities(mesh, graph, m)
+    vel = velocities(mesh, graph, m)
     nids = mesh.alive_nodes()
     ring = nids[(mesh.topo[nids] == LNODE) & (mesh.bnd[nids] == BND_NONE)]
     assert len(ring) == 16
@@ -85,7 +97,7 @@ def test_velocity_shrinks_circular_grain():
 
 def test_velocity_zero_on_straight_interface(strip_mesh):
     mesh, graph = reconstructed(strip_mesh)
-    vel = node_velocities(mesh, graph, reduced_mobility())
+    vel = velocities(mesh, graph, reduced_mobility())
     assert np.all(vel == 0.0)
 
 
@@ -97,7 +109,7 @@ def test_junction_velocity_matches_arm_formula(tjunction_mesh):
     assert len(interior) == 1
     p = interior[0]
     m = reduced_mobility()
-    vel = node_velocities(mesh, graph, m)
+    vel = velocities(mesh, graph, m)
     arms = junction_arms(mesh, p)
     assert len(arms) == 3
     want = m * junction_curvature(mesh.pos[p], arms)
@@ -116,16 +128,13 @@ def test_constrain_to_walls(strip_mesh):
             assert vel[n][1] == 0.0 and vel[n][0] == 1.0
 
 
-def test_move_nodes_exact_and_protected():
+def test_parallel_move_exact_and_protected():
     mesh, _ = reconstructed(grid_mesh(5, 5))
-    vel = np.zeros_like(mesh.pos)
-    n = 14  # interior node at (0.4, 0.4)
-    vel[n] = (0.02, -0.01)
-    move_nodes(mesh, vel, 2.0)
-    assert np.allclose(mesh.pos[n], (0.44, 0.38), atol=1e-15)
+    n = np.array([14])  # interior node at (0.4, 0.4)
+    one_rank(lambda t: parallel_move(t, mesh, n, np.array([[0.04, -0.02]])))
+    assert np.allclose(mesh.pos[14], (0.44, 0.38), atol=1e-15)
     # a huge step backs off instead of inverting elements
-    vel[n] = (10.0, 0.0)
-    move_nodes(mesh, vel, 1.0)
+    one_rank(lambda t: parallel_move(t, mesh, n, np.array([[10.0, 0.0]])))
     assert np.all(mesh.areas() > 0.0)
 
 
@@ -200,7 +209,7 @@ def test_increment_keeps_straight_interface_still(strip_mesh):
     # h chosen so neither the grid edges nor its diagonals trigger remeshing
     state = make_state(mesh, graph, h=0.13)
     pos0 = mesh.pos.copy()
-    stats = gg_increment(state, dt=10.0)
+    stats = increment(state, dt=10.0)
     assert stats.collapsed == 0 and stats.split == 0 and stats.swapped == 0
     assert np.abs(mesh.pos - pos0).max() < 1e-12
 
@@ -209,7 +218,7 @@ def test_increment_conserves_domain_area(tjunction_mesh):
     mesh, graph = reconstructed(tjunction_mesh)
     state = make_state(mesh, graph, h=0.125)
     for _ in range(3):
-        gg_increment(state, dt=2.0e3)
+        increment(state, dt=2.0e3)
     assert np.all(mesh.areas() > 0.0)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-9)
 
@@ -222,7 +231,7 @@ def test_circular_grain_follows_shrink_law():
     dt = 4.2e3
     steps = 4
     for _ in range(steps):
-        gg_increment(state, dt=dt, mobility=m)
+        increment(state, dt=dt, mobility=m)
     nids = mesh.alive_nodes()
     ring = nids[(mesh.topo[nids] == LNODE) & (mesh.bnd[nids] == BND_NONE)]
     radii = np.linalg.norm(mesh.pos[ring], axis=1)

@@ -23,6 +23,8 @@ def test_single_part_takes_everything():
     parts = initial_partition(mesh, 1)
     sizes = coverage(mesh, parts)
     assert sizes.tolist() == [mesh.n_elems()]
+    # the only part keeps the mesh itself rather than a second copy
+    assert restrict_mesh(mesh, parts, 0) is mesh
 
 
 def test_two_triangles_two_parts():
@@ -78,6 +80,8 @@ def test_restriction_covers_exactly_once():
             n = int(n)
             assert np.array_equal(sub.pos[n], mesh.pos[n])
             assert sub.bnd[n] == mesh.bnd[n]
+            assert sub.topo[n] == mesh.topo[n]
+            assert sub.entity[n] == mesh.entity[n]
     assert sorted(seen) == [int(e) for e in mesh.alive_elems()]
 
 

@@ -577,9 +577,12 @@ def test_remesh_pass_scope_restricts(strip_mesh):
     a, b = 30, 31
     mesh.pos[b] = mesh.pos[a] + (0.01, 0.0)
     ctx = make_ctx(mesh, graph, h=0.125)
-    # a scope elsewhere leaves the short edge alone
+    # a scope elsewhere, or an empty one, leaves the short edge alone
     stats = remesh_pass(ctx, scope={70, 71})
     assert mesh.node_alive[a] and mesh.node_alive[b]
+    pos0 = mesh.pos.copy()
+    assert remesh_pass(ctx, scope=set()).total() == 0
+    assert np.array_equal(mesh.pos, pos0)
     # scoping onto it collapses it
     stats = collapse_sweep(ctx, scope={a, b})
     assert stats.collapsed == 1

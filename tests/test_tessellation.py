@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from grainflow.motion import gg_increment
+from grainflow.protocol import parallel_increment
 from grainflow.state import Alloc, RemeshParams, SimState, local_ceilings
 from grainflow.tessellation import (_edge_points, _snap_key, laguerre_cells,
                                     lognormal_sigma, load_seeds, polygon_area,
@@ -13,6 +13,7 @@ from grainflow.tessellation import (_edge_points, _snap_key, laguerre_cells,
                                     throw_seeds)
 
 from .conftest import reconstructed
+from .helpers import one_rank
 
 
 def test_lognormal_sigma_value():
@@ -123,6 +124,6 @@ def test_generated_mesh_evolves():
                                        n_parts=1),
                      params=RemeshParams(h=0.004))
     for _ in range(2):
-        gg_increment(state, dt=10.0)
+        one_rank(lambda t: parallel_increment(t, state, dt=10.0))
     assert np.all(mesh.areas() > 0.0)
     assert float(mesh.areas().sum()) == pytest.approx(0.13 * 0.13, abs=1e-9)

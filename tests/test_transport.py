@@ -1,5 +1,9 @@
 """In-process transport collectives: ordering, reuse, failure paths."""
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 from grainflow.transport import (
@@ -87,3 +91,34 @@ def test_ranks_validated():
 
 def test_results_indexed_by_rank():
     assert run_workers(4, lambda tp: tp.rank * 10) == [0, 10, 20, 30]
+
+
+def test_rank_zero_runs_on_calling_thread():
+    names = run_workers(2, lambda tp: threading.current_thread().name)
+    assert names[0] == threading.current_thread().name
+    assert names[1] != names[0]
+
+
+@pytest.mark.parametrize("failing_rank", [0, 1])
+def test_failed_worker_state_freed_without_gc(failing_rank):
+    class State:
+        pass
+
+    refs = []
+
+    def body(tp):
+        state = State()
+        refs.append(weakref.ref(state))
+        if tp.rank == failing_rank:
+            raise RuntimeError("worker died")
+        tp.all_gather(b"x")
+
+    gc.disable()
+    try:
+        try:
+            run_workers(2, body)
+        except RuntimeError:
+            pass
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
