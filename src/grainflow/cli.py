@@ -55,8 +55,8 @@ def _cmd_stats(args) -> int:
           + " ".join(f"p{i}={c}" for i, c in enumerate(last.elements)))
     timings = os.path.join(args.in_dir, "timings.csv")
     if os.path.exists(timings):
-        walls = [float(line.split(",")[1])
-                 for line in open(timings).read().splitlines()[1:]]
+        with open(timings) as f:
+            walls = [float(line.split(",")[1]) for line in f.readlines()[1:]]
         if walls:
             print(f"wall: {sum(walls):.3f} s over {len(walls)} increments")
     snaps = sorted(glob.glob(os.path.join(args.in_dir, "snapshot_*.vtk")))

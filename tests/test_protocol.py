@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from grainflow import protocol as pr
+from grainflow import runner
 from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
                                 KIND_SURFACE, Line, Point, Surface,
                                 line_segments, lnodes_by_line)
@@ -663,9 +664,11 @@ def test_parallel_move_exhaustion_reverts_everywhere():
 
 # -- increments --------------------------------------------------------------
 
-# sha256 of stats.csv and the final snapshot of a short tessellated run,
-# recorded with the former sequential increment (numpy 2.4, scipy 1.17); the
-# one-worker increment must keep reproducing them byte for byte
+# sha256 of stats.csv, the final snapshot and the final in-memory state of a
+# short tessellated run, recorded with the former sequential increment; the
+# one-worker increment must keep reproducing them byte for byte.  The digests
+# depend on the floating-point results of numpy 2.4 / scipy 1.17 builds, so a
+# toolchain update may need them recorded again.
 GOLDEN_RUN = dict(domain=0.2, grains=8, increments=4, seed=3, output_every=2)
 GOLDEN_SHA256 = {
     "stats.csv":
@@ -673,13 +676,41 @@ GOLDEN_SHA256 = {
     "snapshot_0004.vtk":
         "87564e9479b39ed3e4e3fd48ef2ce063a0cdfbb13a6031087b8c2ee8b9335272",
 }
+GOLDEN_STATE_SHA256 = \
+    "8bdcaf2a0c5880a148fffd1a5595814685b645de7a941df64be0b30005836c6b"
 
 
-def test_parallel_increment_single_worker_matches_sequential(tmp_path):
+def state_sha256(mesh: Mesh, graph: EntityGraph) -> str:
+    """Digest of the exact live mesh arrays and the sorted entity ids."""
+    h = hashlib.sha256()
+    nodes, elems = mesh.alive_nodes(), mesh.alive_elems()
+    for a, dtype in ((nodes, np.int64), (mesh.pos[nodes], np.float64),
+                     (mesh.topo[nodes], np.int64),
+                     (mesh.entity[nodes], np.int64),
+                     (elems, np.int64), (mesh.tri[elems], np.int64),
+                     (mesh.surf[elems], np.int64),
+                     (sorted(graph.surfaces), np.int64),
+                     (sorted(graph.lines), np.int64),
+                     (sorted(graph.points), np.int64)):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_parallel_increment_single_worker_matches_sequential(tmp_path,
+                                                             monkeypatch):
+    states = []
+
+    def keep_state(transport, state, *args):
+        states.append(state)
+        return pr.parallel_increment(transport, state, *args)
+
+    monkeypatch.setattr(runner, "parallel_increment", keep_state)
     run(RunConfig(**GOLDEN_RUN, out=str(tmp_path)))
     for name, digest in GOLDEN_SHA256.items():
         got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert got == digest, name
+    assert len(states) == GOLDEN_RUN["increments"]
+    assert state_sha256(states[-1].mesh, states[-1].graph) == GOLDEN_STATE_SHA256
 
 
 def test_parallel_increment_two_workers_consistent():
