@@ -6,7 +6,8 @@ bulk), geometric entities (points, lines, surfaces) are reconstructed on top
 of them, and each increment combines selective remeshing, spline curvature,
 junction kinetics and Lagrangian motion.  The engine runs partitioned over a
 message transport, with entity identities kept consistent across workers; a
-sequential run is the one-worker case of the same code.
+sequential run is the one-worker case of the same code.  Output is gathered
+as plain arrays and written by rank 0 without rebuilding a mesh.
 
 Core modules:
     mesh          array-backed triangular mesh, ids never reused
@@ -15,7 +16,8 @@ Core modules:
     geometry      spline curvature and junction curvature evaluation
     motion        mobility, wall constraints, junction decomposition
     tessellation  weighted-Voronoi microstructure generation and meshing
-    wire          versioned binary record formats for worker exchange
+    state         per-worker state: mesh, entities, the one id allocator
+    wire          framed binary records and arrays for worker exchange
     transport     collective message transport (in-process and MPI)
     partitioning  dual-graph element partitioning
     protocol      the increment: ranking, scattering, shared nodes, motion

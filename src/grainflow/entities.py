@@ -4,9 +4,9 @@ The mesh alone only knows triangles and surface tags.  This module derives
 the geometric skeleton on top of it: every node is classed by how many
 surfaces it touches, boundary lines are traced as chains of L-nodes between
 junction points, and each connected patch of same-tag elements becomes a
-surface entity.  Entity ids are drawn from stride counters so that workers
-reconstructing independently can never clash: worker r of n hands out
-r, r + n, r + 2n, ...
+surface entity.  Reconstruction numbers each kind 0, 1, 2, ... in discovery
+order, so every worker that reconstructs the same mesh gets the same ids;
+entities created later take theirs from the worker's ``state.IdAllocator``.
 
 A line is stored implicitly: each of its L-nodes carries the line id plus
 links to the previous and next node on the chain (NULL_ID at a break, a
@@ -27,24 +27,6 @@ from .mesh import (Mesh, TopologyError, NULL_ID, PNODE, LNODE, SNODE,
 KIND_POINT = "P"
 KIND_LINE = "L"
 KIND_SURFACE = "S"
-
-
-class StrideCounter:
-    """Allocates ids start, start + stride, start + 2*stride, ..."""
-
-    def __init__(self, start: int, stride: int) -> None:
-        if stride <= 0:
-            raise ValueError("stride must be positive")
-        self._next = int(start)
-        self._stride = int(stride)
-
-    def take(self) -> int:
-        out = self._next
-        self._next += self._stride
-        return out
-
-    def peek(self) -> int:
-        return self._next
 
 
 @dataclass
@@ -73,22 +55,12 @@ class Surface:
 
 
 class EntityGraph:
-    """All live entities of one partition plus the id counters."""
+    """All live entities of one partition."""
 
-    def __init__(self, rank: int = 0, n_parts: int = 1) -> None:
-        self.rank = rank
-        self.n_parts = n_parts
+    def __init__(self) -> None:
         self.points: dict[int, Point] = {}
         self.lines: dict[int, Line] = {}
         self.surfaces: dict[int, Surface] = {}
-        self._counters = {
-            KIND_POINT: StrideCounter(rank, n_parts),
-            KIND_LINE: StrideCounter(rank, n_parts),
-            KIND_SURFACE: StrideCounter(rank, n_parts),
-        }
-
-    def next_id(self, kind: str) -> int:
-        return self._counters[kind].take()
 
     def point_at(self, mesh: Mesh, nid: int) -> Point:
         pid = int(mesh.entity[nid])
@@ -125,26 +97,6 @@ def _node_class(k: int, bnd: int) -> int:
     return LNODE if k == 1 else PNODE
 
 
-def adjacent_tag_sets(mesh: Mesh) -> dict[int, set[int]]:
-    """Per live node, the set of surface tags of its incident elements."""
-    out: dict[int, set[int]] = {}
-    for nid in mesh.alive_nodes():
-        nid = int(nid)
-        out[nid] = {int(mesh.surf[e]) for e in mesh.n2e[nid]}
-    return out
-
-
-def apply_tags(mesh: Mesh, tag_sets: dict[int, set[int]]) -> None:
-    """Re-class nodes from externally completed adjacency sets.
-
-    Partition-local tagging undercounts at partition boundaries, where some
-    of a node's elements live on other workers.  The bootstrap completes the
-    tag sets collectively and pushes the corrected classes through here.
-    """
-    for nid, tags in tag_sets.items():
-        mesh.topo[nid] = _node_class(len(tags), mesh.bnd[nid])
-
-
 def interface_edge_mask(mesh: Mesh, edges: np.ndarray, ee: np.ndarray) -> np.ndarray:
     """Boolean mask of edges that separate surfaces or lie on a domain wall.
 
@@ -169,16 +121,16 @@ def is_interface_edge(mesh: Mesh, a: int, b: int) -> bool:
     return False
 
 
-def reconstruct_entities(mesh: Mesh, rank: int = 0, n_parts: int = 1) -> EntityGraph:
+def reconstruct_entities(mesh: Mesh) -> EntityGraph:
     """Build the entity graph of a tagged mesh and renumber its surfaces.
 
     Surfaces are edge-connected components of same-tag elements, discovered
     in ascending element id order; element tags are rewritten to the new
-    stride-numbered surface ids.  Boundary lines are traced as chains of
+    surface ids.  Boundary lines are traced as chains of
     L-nodes, truncated wherever they leave the partition, and every P-node
     becomes a point whose connections list the lines ending there.
     """
-    graph = EntityGraph(rank, n_parts)
+    graph = EntityGraph()
     _build_surfaces(mesh, graph)
     edges, ee = mesh.edge_array(with_elems=True)
     iface = edges[interface_edge_mask(mesh, edges, ee)]
@@ -195,7 +147,7 @@ def _build_surfaces(mesh: Mesh, graph: EntityGraph) -> None:
         seed = int(seed)
         if seed in comp:
             continue
-        sid = graph.next_id(KIND_SURFACE)
+        sid = len(graph.surfaces)
         graph.surfaces[sid] = Surface(sid, orig_tag=int(mesh.surf[seed]))
         tag = int(mesh.surf[seed])
         stack = [seed]
@@ -234,7 +186,7 @@ def _build_points(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> 
     for nid in mesh.alive_nodes():
         nid = int(nid)
         if mesh.topo[nid] == PNODE:
-            pid = graph.next_id(KIND_POINT)
+            pid = len(graph.points)
             graph.points[pid] = Point(pid, nid)
             mesh.entity[nid] = pid
 
@@ -253,7 +205,7 @@ def _trace_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> N
         if nid in assigned:
             continue
         chain, closed = _walk_chain(mesh, adj, nid)
-        lid = graph.next_id(KIND_LINE)
+        lid = len(graph.lines)
         graph.lines[lid] = Line(lid)
         _link_chain(mesh, graph, chain, closed, lid)
         assigned.update(n for n in chain if mesh.topo[n] == LNODE)
@@ -263,7 +215,7 @@ def _trace_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> N
             continue
         for m in adj[nid]:
             if mesh.topo[m] == PNODE and nid < m:
-                lid = graph.next_id(KIND_LINE)
+                lid = len(graph.lines)
                 graph.lines[lid] = Line(lid)
                 for end in (nid, m):
                     graph.point_at(mesh, end).connections.add((KIND_LINE, lid))

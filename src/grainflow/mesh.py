@@ -204,6 +204,12 @@ class Mesh:
     def alive_elems(self) -> np.ndarray:
         return np.flatnonzero(self.elem_alive)
 
+    def live_arrays(self):
+        """(node ids, positions, element ids, corners, surface ids) of the
+        live mesh, ids ascending: the piece ``write_vtk`` writes."""
+        nids, eids = self.alive_nodes(), self.alive_elems()
+        return nids, self.pos[nids], eids, self.tri[eids], self.surf[eids]
+
     def n_nodes(self) -> int:
         return int(self.node_alive.sum())
 
@@ -369,34 +375,32 @@ def dual_graph(mesh: Mesh) -> dict[int, set[int]]:
     return adj
 
 
-def write_vtk(mesh: Mesh, path, cell_scalars: dict[str, np.ndarray] | None = None,
-              title: str = "grainflow snapshot") -> None:
-    """Write the live mesh as legacy ASCII VTK (triangles, z = 0).
+def write_vtk(piece, path) -> None:
+    """Write a mesh as legacy ASCII VTK (triangles, z = 0), with the surface
+    id of every element as cell data.
 
-    ``cell_scalars`` maps names to per-live-element integer arrays, written in
-    ``alive_elems()`` order; the surface id is always included.
+    ``piece`` is ``(nids, pos, eids, tri, surf)`` as ``Mesh.live_arrays``
+    returns it, or several workers' pieces concatenated.  Points and cells
+    are written in ascending id order; a node listed more than once is
+    written once, at its first position (co-owners agree bit for bit).
     """
-    nids = mesh.alive_nodes()
-    eids = mesh.alive_elems()
-    index = np.full(len(mesh.node_alive), -1, dtype=np.int64)
-    index[nids] = np.arange(len(nids))
-    scalars = {"surface_id": mesh.surf[eids].astype(np.int64)}
-    if cell_scalars:
-        scalars.update({k: np.asarray(v, dtype=np.int64) for k, v in cell_scalars.items()})
+    nids, pos, eids, tri, surf = piece
+    nids, first = np.unique(nids, return_index=True)
+    order = np.argsort(eids)
+    cells = np.searchsorted(nids, tri[order])
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
-        f.write(title + "\n")
+        f.write("grainflow snapshot\n")
         f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {len(nids)} double\n")
-        for x, y in mesh.pos[nids]:
+        for x, y in pos[first]:
             f.write(f"{x:.12g} {y:.12g} 0\n")
         f.write(f"CELLS {len(eids)} {4 * len(eids)}\n")
-        for row in index[mesh.tri[eids]]:
+        for row in cells:
             f.write(f"3 {row[0]} {row[1]} {row[2]}\n")
         f.write(f"CELL_TYPES {len(eids)}\n")
         f.write("5\n" * len(eids))
         if len(eids):
             f.write(f"CELL_DATA {len(eids)}\n")
-            for name, vals in scalars.items():
-                f.write(f"SCALARS {name} long 1\nLOOKUP_TABLE default\n")
-                f.write("\n".join(str(int(v)) for v in vals) + "\n")
+            f.write("SCALARS surface_id long 1\nLOOKUP_TABLE default\n")
+            f.write("\n".join(str(int(v)) for v in surf[order]) + "\n")

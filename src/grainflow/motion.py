@@ -23,6 +23,7 @@ from .entities import (KIND_LINE, KIND_POINT, EntityGraph, Line, Point,
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
                    Mesh, TopologyError, _tri_area, is_domain_boundary_edge)
 from .remesh import MIN_AREA
+from .state import KIND_ELEM, KIND_NODE
 
 MOBILITY_PREFACTOR = 1.56e11    # mm^4 / (J s)
 ACTIVATION_ENERGY = 2.8e5       # J / mol
@@ -154,16 +155,16 @@ def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
 
     members = lnodes_by_line(mesh)
     p_pt = graph.point_at(mesh, nid)
-    m_nid = alloc.nodes.take()
-    m_pid = graph.next_id(KIND_POINT)
-    lid_new = graph.next_id(KIND_LINE)
+    m_nid = alloc.take(KIND_NODE)
+    m_pid = alloc.take(KIND_POINT)
+    lid_new = alloc.take(KIND_LINE)
     mesh.add_node(m_nid, m_pos, topo=PNODE, entity=m_pid)
     for eid in fan:
         mesh.replace_node_in_element(eid, nid, m_nid)
     surf1 = int(mesh.surf[fan[0]])
     surf2 = int(mesh.surf[fan[-1]])
-    mesh.add_element(alloc.elems.take(), (nid, c1, m_nid), surf1)
-    mesh.add_element(alloc.elems.take(), (nid, m_nid, c2), surf2)
+    mesh.add_element(alloc.take(KIND_ELEM), (nid, c1, m_nid), surf1)
+    mesh.add_element(alloc.take(KIND_ELEM), (nid, m_nid, c2), surf2)
 
     moved_lids = set()
     for x in (a, b):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entities import (EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE,
-                       Line, Point, StrideCounter, Surface, line_segments,
+                       Line, Point, Surface, line_segments,
                        lnodes_by_line, reconstruct_entities, rename_entities,
                        tag_nodes)
 from .geometry import closed_curvature, curvature_at, junction_curvature, \
@@ -41,8 +41,8 @@ from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
 from .partitioning import restrict_mesh
 from .remesh import (BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA,
-                     RemeshCtx, _pick_survivor, remesh_pass)
-from .state import Alloc, RemeshParams, SimState, _stride_base, local_ceilings
+                     RemeshCtx, remesh_pass)
+from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
 from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
                    NodePayload, Pair, TempNodeReply, TempNodeRequest, Triplet,
@@ -457,21 +457,6 @@ def _sweep_graph(mesh, graph):
         del graph.lines[lid]
 
 
-# -- blocking audit ----------------------------------------------------------
-
-def edge_blocking(mesh: Mesh, a: int, b: int) -> tuple[bool, bool, bool]:
-    """(collapse, split, swap) blocked flags for one edge, as the remeshing
-    guards decide them.  Collapse is refused whenever the node that would
-    die is shared; split and swap need the edge's elements locally, which a
-    partition-boundary edge never has."""
-    a, b = int(a), int(b)
-    _, dead = _pick_survivor(mesh, a, b)
-    collapse = mesh.is_shared(dead)
-    n_local = len(mesh.edge_elements(a, b))
-    seam = n_local == 1 and not is_domain_boundary_edge(mesh, a, b)
-    return collapse, seam, n_local != 2
-
-
 # -- stencil completion ------------------------------------------------------
 
 def _junction_arms_shared(mesh, graph, nid):
@@ -852,20 +837,18 @@ def bootstrap_state(transport: Transport, full_mesh: Mesh,
     same entity graph and applies the same partition, so all ids agree from
     the start; the restriction just keeps the local slice, with chain links
     cut at the boundary exactly as a scatter would leave them; a part that
-    holds every element evolves the full mesh itself, not a copy.  Identity
-    regularization still runs once at the end as a cross-check of the
-    exchange plumbing.
+    holds every element evolves the full mesh itself, not a copy.  New ids
+    of every kind start above the highest the full mesh and graph use, in
+    this rank's stride.  Identity regularization still runs once at the end
+    as a cross-check of the exchange plumbing.
     """
-    rank, n_parts = transport.rank, transport.size
     tag_nodes(full_mesh)
     full_graph = reconstruct_entities(full_mesh)
+    alloc = IdAllocator.above(full_mesh, full_graph, transport.rank,
+                              transport.size)
 
-    sub = restrict_mesh(full_mesh, parts, rank)
-    graph = EntityGraph(rank, n_parts)
-    for kind in (KIND_POINT, KIND_LINE, KIND_SURFACE):
-        ceiling = full_graph._counters[kind].peek()
-        graph._counters[kind] = StrideCounter(
-            _stride_base(ceiling, rank, n_parts), n_parts)
+    sub = restrict_mesh(full_mesh, parts, transport.rank)
+    graph = EntityGraph()
 
     eids = sub.alive_elems()
     for sid in (np.unique(sub.surf[eids]) if len(eids) else ()):
@@ -892,9 +875,7 @@ def bootstrap_state(transport: Transport, full_mesh: Mesh,
     for lid in sorted(lids):
         graph.lines[lid] = Line(lid)
 
-    nc, ec = local_ceilings(full_mesh)
-    state = SimState(mesh=sub, graph=graph,
-                     alloc=Alloc.fresh(nc, ec, rank, n_parts),
+    state = SimState(mesh=sub, graph=graph, alloc=alloc,
                      params=RemeshParams(h=h))
     detect_shared_nodes(transport, sub)
     regularize_identities(transport, sub, graph)

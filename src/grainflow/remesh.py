@@ -36,7 +36,7 @@ from .entities import (EntityGraph, KIND_LINE, is_interface_edge,
 from .mesh import (Mesh, NULL_ID, PNODE, LNODE, SNODE, BND_NONE, BND_CORNER,
                    BND_TANGENT_X, BND_TANGENT_Y, TopologyError,
                    is_domain_boundary_edge, _tri_area)
-from .state import Alloc, RemeshParams
+from .state import KIND_ELEM, KIND_NODE, IdAllocator, RemeshParams
 
 MIN_AREA = 1e-12
 SQRT3_4 = 4.0 * np.sqrt(3.0)
@@ -69,7 +69,7 @@ class RemeshCtx:
     line-disappearance and grain-death questions in O(1).
     """
 
-    def __init__(self, mesh: Mesh, graph: EntityGraph, alloc: Alloc,
+    def __init__(self, mesh: Mesh, graph: EntityGraph, alloc: IdAllocator,
                  params: RemeshParams) -> None:
         self.mesh = mesh
         self.graph = graph
@@ -597,7 +597,7 @@ def split_edge(ctx: RemeshCtx, a: int, b: int) -> int | None:
         return None
 
     iface = is_interface_edge(mesh, a, b)
-    nid = ctx.alloc.nodes.take()
+    nid = ctx.alloc.take(KIND_NODE)
     mid = 0.5 * (mesh.pos[a] + mesh.pos[b])
     if wall:
         d = mesh.pos[b] - mesh.pos[a]
@@ -630,7 +630,7 @@ def split_edge(ctx: RemeshCtx, a: int, b: int) -> int | None:
         va, vb, vc = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
         mesh.remove_element(e)
         mesh.add_element(e, (va, nid, vc), s)
-        mesh.add_element(ctx.alloc.elems.take(), (nid, vb, vc), s)
+        mesh.add_element(ctx.alloc.take(KIND_ELEM), (nid, vb, vc), s)
         ctx.surf_count[s] = ctx.surf_count.get(s, 0) + 1
     return nid
 

@@ -4,7 +4,11 @@ A run tessellates the starting structure, evolves it for a fixed number of
 increments and emits stats.csv, timings.csv plus VTK snapshots and grain
 size histograms at the configured cadence.  Every run goes through the same
 worker body, a sequential run being the one-worker case: all workers
-execute it in lockstep and rank 0 alone touches the disk.
+execute it in lockstep and rank 0 alone touches the disk.  Each output step
+is one all-gather of framed arrays (``wire.encode_arrays``): every worker's
+per-grain areas and element count, plus its live mesh arrays when a
+snapshot is due.  Rank 0 merges them and writes the files straight from the
+arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .stats import (StatsRecord, erom, grain_size_histogram,
                     write_hist_csv, write_stats_csv, write_timings_csv)
 from .tessellation import tessellate
 from .transport import MpiTransport, Transport, run_workers
+from .wire import decode_arrays, encode_arrays
 
 BACKENDS = ("inproc", "mpi")
 
@@ -123,12 +128,14 @@ class _Emitter:
         self.walls: list[float] = []
 
     def step(self, inc: int, areas: np.ndarray, counts, wall: float,
-             mesh: Mesh | None) -> None:
+             piece) -> None:
+        """Record one increment; ``piece`` is the merged mesh arrays when a
+        snapshot is due, else None."""
         self.records.append(_record(inc * self.cfg.dt, areas, counts, 0.0))
         if inc > 0:
             self.walls.append(wall)
-        if mesh is not None:
-            write_vtk(mesh, os.path.join(self.cfg.out, f"snapshot_{inc:04d}.vtk"))
+        if piece is not None:
+            write_vtk(piece, os.path.join(self.cfg.out, f"snapshot_{inc:04d}.vtk"))
             write_hist_csv(os.path.join(self.cfg.out, f"hist_{inc:04d}.csv"),
                            grain_size_histogram(areas))
 
@@ -138,51 +145,6 @@ class _Emitter:
 
 
 # -- worker body -------------------------------------------------------------
-
-def _pack_areas(sids: np.ndarray, areas: np.ndarray) -> bytes:
-    return (np.int64(len(sids)).tobytes() + sids.astype(np.int64).tobytes()
-            + areas.astype(np.float64).tobytes())
-
-def _unpack_areas(buf: bytes):
-    n = int(np.frombuffer(buf[:8], dtype=np.int64)[0])
-    sids = np.frombuffer(buf[8:8 + 8 * n], dtype=np.int64)
-    areas = np.frombuffer(buf[8 + 8 * n:8 + 16 * n], dtype=np.float64)
-    return sids, areas
-
-
-def _pack_piece(mesh: Mesh) -> bytes:
-    nids = mesh.alive_nodes()
-    eids = mesh.alive_elems()
-    return b"".join([
-        np.int64(len(nids)).tobytes(), nids.astype(np.int64).tobytes(),
-        mesh.pos[nids].astype(np.float64).tobytes(),
-        np.int64(len(eids)).tobytes(), eids.astype(np.int64).tobytes(),
-        mesh.tri[eids].astype(np.int64).tobytes(),
-        mesh.surf[eids].astype(np.int64).tobytes(),
-    ])
-
-def _unpack_piece(buf: bytes):
-    off = 0
-    n = int(np.frombuffer(buf[off:off + 8], dtype=np.int64)[0]); off += 8
-    nids = np.frombuffer(buf[off:off + 8 * n], dtype=np.int64); off += 8 * n
-    pos = np.frombuffer(buf[off:off + 16 * n], dtype=np.float64).reshape(n, 2)
-    off += 16 * n
-    m = int(np.frombuffer(buf[off:off + 8], dtype=np.int64)[0]); off += 8
-    eids = np.frombuffer(buf[off:off + 8 * m], dtype=np.int64); off += 8 * m
-    tri = np.frombuffer(buf[off:off + 24 * m], dtype=np.int64).reshape(m, 3)
-    off += 24 * m
-    surf = np.frombuffer(buf[off:off + 8 * m], dtype=np.int64)
-    return nids, pos, eids, tri, surf
-
-
-def assemble_global(pieces) -> Mesh:
-    """Merge per-worker meshes into one; element ownership is disjoint and
-    coupling nodes carry identical coordinates on every owner."""
-    unpacked = [_unpack_piece(b) for b in pieces]
-    nids, pos, eids, tri, surf = (np.concatenate(c) for c in zip(*unpacked))
-    nids, first = np.unique(nids, return_index=True)
-    return Mesh.from_arrays(nids, pos[first], eids, tri, surf)
-
 
 def _run_worker(transport: Transport, cfg: RunConfig) -> None:
     full = _build_initial(cfg)
@@ -197,15 +159,19 @@ def _run_worker(transport: Transport, cfg: RunConfig) -> None:
     emit = _Emitter(cfg) if transport.rank == 0 else None
 
     def snapshot(inc: int, wall: float) -> None:
-        gathered = transport.all_gather(_pack_areas(*surface_areas(mesh)))
-        counts = [int(np.frombuffer(b[:8], dtype=np.int64)[0]) for b in
-                  transport.all_gather(np.int64(len(mesh.alive_elems())).tobytes())]
-        piece = _pack_piece(mesh) if _due(cfg, inc) else b""
-        pieces = transport.all_gather(piece)
+        due = _due(cfg, inc)
+        mine = [*surface_areas(mesh), np.int64(mesh.n_elems())]
+        if due:
+            mine += mesh.live_arrays()
+        gathered = transport.all_gather(encode_arrays(mine))
         if emit is not None:
-            _, areas = merge_areas([_unpack_areas(b) for b in gathered])
-            emit.step(inc, areas, counts, wall,
-                      assemble_global(pieces) if _due(cfg, inc) else None)
+            pieces = [decode_arrays(b) for b in gathered]
+            _, areas = merge_areas([p[:2] for p in pieces])
+            counts = [int(p[2]) for p in pieces]
+            merged = (tuple(np.concatenate(c)
+                            for c in zip(*(p[3:] for p in pieces)))
+                      if due else None)
+            emit.step(inc, areas, counts, wall, merged)
 
     snapshot(0, 0.0)
     for inc in range(1, cfg.increments + 1):

@@ -1,46 +1,56 @@
-"""Per-worker simulation state: mesh, entity graph, id allocators, knobs.
+"""Per-worker simulation state: mesh, entity graph, id allocator, knobs.
 
-Node and element ids, like entity ids, come from stride counters so workers
-never hand out clashing values.  The counters restart above the highest id in
-use; in a parallel run that ceiling must be agreed globally before local
-allocation resumes (element packets carry ids from other workers, and a
-locally reused id could collide with a node that migrates in later).
+One allocator hands out the new ids of all five kinds: nodes, elements,
+points, lines and surfaces.  Worker r of n takes ids congruent to r modulo
+n, so workers never hand out clashing values.  Every kind starts above the
+highest id in use.  In a parallel run that ceiling must agree on every
+worker before local allocation begins: element packets carry ids from
+other workers, and a locally reused id could collide with a node that
+migrates in later.  The bootstrap takes it from the full mesh, which every
+worker builds alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .entities import EntityGraph, StrideCounter
+import numpy as np
+
+from .entities import EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE
 from .mesh import Mesh
 
-
-def _stride_base(ceiling: int, rank: int, n_parts: int) -> int:
-    """Smallest id >= ceiling congruent to rank modulo n_parts."""
-    return ceiling + (rank - ceiling) % n_parts
+KIND_NODE = "N"
+KIND_ELEM = "E"
 
 
-@dataclass
-class Alloc:
-    """Stride-disjoint id sources for new nodes and elements."""
-    nodes: StrideCounter
-    elems: StrideCounter
+class IdAllocator:
+    """Stride-disjoint id sources, one per kind.
+
+    Each kind hands out base, base + stride, base + 2 * stride, ..., where
+    base is the smallest id at or above the kind's ceiling congruent to
+    ``rank`` modulo ``stride``.
+    """
+
+    def __init__(self, ceilings: dict[str, int], rank: int = 0,
+                 stride: int = 1) -> None:
+        self._next = {k: c + (rank - c) % stride for k, c in ceilings.items()}
+        self._stride = stride
 
     @classmethod
-    def fresh(cls, node_ceiling: int, elem_ceiling: int, rank: int,
-              n_parts: int) -> "Alloc":
-        return cls(
-            nodes=StrideCounter(_stride_base(node_ceiling, rank, n_parts), n_parts),
-            elems=StrideCounter(_stride_base(elem_ceiling, rank, n_parts), n_parts),
-        )
+    def above(cls, mesh: Mesh, graph: EntityGraph, rank: int = 0,
+              stride: int = 1) -> "IdAllocator":
+        """Allocator whose every kind starts past the highest id that
+        ``mesh`` and ``graph`` use."""
+        in_use = {KIND_NODE: mesh.alive_nodes(), KIND_ELEM: mesh.alive_elems(),
+                  KIND_POINT: list(graph.points), KIND_LINE: list(graph.lines),
+                  KIND_SURFACE: list(graph.surfaces)}
+        return cls({k: int(np.max(ids, initial=-1)) + 1
+                    for k, ids in in_use.items()}, rank, stride)
 
-
-def local_ceilings(mesh: Mesh) -> tuple[int, int]:
-    """(node, element) id ceilings of this mesh: one past the highest id."""
-    nids = mesh.alive_nodes()
-    eids = mesh.alive_elems()
-    return (int(nids.max()) + 1 if len(nids) else 0,
-            int(eids.max()) + 1 if len(eids) else 0)
+    def take(self, kind: str) -> int:
+        out = self._next[kind]
+        self._next[kind] += self._stride
+        return out
 
 
 @dataclass
@@ -65,5 +75,5 @@ class SimState:
     """Everything one worker evolves in place."""
     mesh: Mesh
     graph: EntityGraph
-    alloc: Alloc
+    alloc: IdAllocator
     params: RemeshParams

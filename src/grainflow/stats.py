@@ -63,16 +63,6 @@ def grain_size_histogram(areas, edges: np.ndarray | None = None) -> np.ndarray:
     return hist / np.sum(areas)
 
 
-def l2_error(h1: np.ndarray, h2: np.ndarray) -> float:
-    """Relative L2 distance between two histograms (or series)."""
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    ref = float(np.sqrt(np.sum(h1 * h1)))
-    if ref == 0.0:
-        raise ValueError("reference is identically zero")
-    return float(np.sqrt(np.sum((h1 - h2) ** 2))) / ref
-
-
 def erom(counts) -> float:
     """Element range over mean: (max - min) / mean of per-worker counts."""
     counts = np.asarray(counts, dtype=np.float64)

@@ -13,8 +13,6 @@ the same canonical direction.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
@@ -278,20 +276,3 @@ def tessellate(rng: np.random.Generator, width: float, height: float,
     cells = laguerre_cells(centers, radii, width, height)
     return discretize(cells, h), centers, radii
 
-
-def save_seeds(path, centers: np.ndarray, radii: np.ndarray) -> None:
-    """Write seeds as x,y,weight rows; the weight is the squared radius."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["x", "y", "weight"])
-        for (x, y), r in zip(centers, radii):
-            w.writerow([repr(float(x)), repr(float(y)), repr(float(r * r))])
-
-
-def load_seeds(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    if len(data) == 0:
-        return np.empty((0, 2)), np.empty(0)
-    return data[:, :2], np.sqrt(data[:, 2])

@@ -1,16 +1,21 @@
-"""Binary records exchanged between partitions.
+"""Binary formats exchanged between partitions.
 
-Every message is a flat concatenation of framed records: a fixed header
+Protocol messages are flat concatenations of framed records: a fixed header
 (version, record type, payload length) followed by a little-endian payload.
 Records are self-contained and carry global ids verbatim, so decoding needs
-no mesh context.  Floats travel as raw IEEE doubles, which keeps encode /
-decode round trips bit-exact and the whole exchange deterministic.
+no mesh context.  Bulk numeric data (the snapshot gather) travels as framed
+arrays instead: a count, then each array in ``.npy`` format.  Either way
+floats travel as raw IEEE doubles, which keeps encode / decode round trips
+bit-exact and the whole exchange deterministic.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .mesh import NULL_ID
 
@@ -248,3 +253,30 @@ def decode_records(buf: bytes) -> list[Record]:
             raise WireError(f"malformed record type {rtype}: {exc}") from exc
         off += length
     return records
+
+
+def encode_arrays(arrays) -> bytes:
+    """Frame numeric arrays into one byte string: the array count, then
+    each array in ``.npy`` format (dtype, shape, raw data)."""
+    buf = io.BytesIO()
+    buf.write(_U32.pack(len(arrays)))
+    for a in arrays:
+        np.save(buf, a, allow_pickle=False)
+    return buf.getvalue()
+
+
+def decode_arrays(buf: bytes) -> list[np.ndarray]:
+    """Parse ``encode_arrays`` output, strictly: no pickled objects, no
+    missing or trailing bytes."""
+    if len(buf) < _U32.size:
+        raise WireError("truncated array count")
+    (count,) = _U32.unpack_from(buf)
+    f = io.BytesIO(buf)
+    f.seek(_U32.size)
+    try:
+        arrays = [np.load(f, allow_pickle=False) for _ in range(count)]
+    except (ValueError, EOFError) as exc:
+        raise WireError(f"malformed array frame: {exc}") from exc
+    if f.tell() != len(buf):
+        raise WireError("trailing bytes after the last array")
+    return arrays

@@ -73,9 +73,9 @@ def equilateral_mesh(nx: int, ny: int, h: float):
     return build_mesh(nodes, elements)
 
 
-def reconstructed(mesh: Mesh, rank: int = 0, n_parts: int = 1):
+def reconstructed(mesh: Mesh):
     tag_nodes(mesh)
-    graph = reconstruct_entities(mesh, rank, n_parts)
+    graph = reconstruct_entities(mesh)
     return mesh, graph
 
 

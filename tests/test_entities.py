@@ -7,11 +7,13 @@ from grainflow.mesh import (
     NULL_ID, PNODE, LNODE, SNODE, TopologyError, build_mesh,
 )
 from grainflow.entities import (
-    KIND_POINT, KIND_LINE, KIND_SURFACE, StrideCounter,
-    tag_nodes, adjacent_tag_sets, apply_tags, reconstruct_entities,
+    KIND_POINT, KIND_LINE, KIND_SURFACE,
+    tag_nodes, reconstruct_entities,
     lnodes_by_line, line_segments, recanonicalize_lines, rename_entities,
     is_interface_edge,
 )
+from grainflow.state import KIND_ELEM, KIND_NODE, IdAllocator
+
 from .conftest import grid_mesh, reconstructed
 
 
@@ -21,9 +23,9 @@ def nid_at(m, x, y):
 
 
 def test_stride_counter():
-    c = StrideCounter(1, 3)
-    assert [c.take() for _ in range(3)] == [1, 4, 7]
-    assert c.peek() == 10
+    alloc = IdAllocator({KIND_NODE: 10, KIND_LINE: 0}, rank=1, stride=3)
+    assert [alloc.take(KIND_NODE) for _ in range(3)] == [10, 13, 16]
+    assert [alloc.take(KIND_LINE) for _ in range(3)] == [1, 4, 7]
 
 
 def test_tag_classes_on_strip(strip_mesh):
@@ -40,17 +42,6 @@ def test_tag_junction(tjunction_mesh):
     m = tjunction_mesh
     tag_nodes(m)
     assert m.topo[nid_at(m, 0.5, 0.5)] == PNODE
-
-
-def test_apply_tags_promotes_remote_adjacency(strip_mesh):
-    m = strip_mesh
-    tag_nodes(m)
-    nid = nid_at(m, 0.25, 0.5)
-    sets = adjacent_tag_sets(m)
-    assert sets[nid] == {0}
-    sets[nid] = {0, 5}      # as if a neighbor element lived elsewhere
-    apply_tags(m, sets)
-    assert m.topo[nid] == LNODE
 
 
 def test_single_grain_square():
@@ -114,10 +105,16 @@ def test_closed_loop_line():
 
 
 def test_stride_ids_per_rank(strip_mesh):
-    m, g = reconstructed(strip_mesh, rank=1, n_parts=3)
-    assert sorted(g.surfaces) == [1, 4]
-    assert sorted(g.lines) == [1 + 3 * k for k in range(7)]
-    assert sorted(g.points) == [1 + 3 * k for k in range(6)]
+    # reconstruction numbers each kind 0, 1, 2, ...; rank 1 of 3 then
+    # allocates above the highest id in use, in its own residue class
+    m, g = reconstructed(strip_mesh)
+    assert sorted(g.surfaces) == [0, 1]
+    assert sorted(g.lines) == list(range(7))
+    assert sorted(g.points) == list(range(6))
+    alloc = IdAllocator.above(m, g, rank=1, stride=3)
+    kinds = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE, KIND_SURFACE)
+    assert [alloc.take(k) for k in kinds] == [82, 130, 7, 7, 4]
+    assert [alloc.take(k) for k in kinds] == [85, 133, 10, 10, 7]
 
 
 def test_element_order_invariance():

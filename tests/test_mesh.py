@@ -8,6 +8,10 @@ from grainflow.mesh import (
     dual_graph, write_vtk, is_domain_boundary_edge,
     BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, LNODE, NULL_ID, SNODE,
 )
+from grainflow.partitioning import initial_partition, restrict_mesh
+from grainflow.tessellation import tessellate
+from grainflow.wire import decode_arrays, encode_arrays
+
 from .conftest import grid_mesh
 from .helpers import parse_vtk
 
@@ -151,12 +155,12 @@ def test_remove_element_then_node():
 def test_vtk_roundtrip(tmp_path):
     m = grid_mesh(3, 2, tag_fn=lambda cx, cy: 0 if cx < 0.5 else 1)
     path = tmp_path / "mesh.vtk"
-    write_vtk(m, path, cell_scalars={"part": np.full(m.n_elems(), 4)})
+    write_vtk(m.live_arrays(), path)
     pts, cells, data = parse_vtk(path)
     assert pts.shape == (m.n_nodes(), 3)
     assert len(cells) == m.n_elems()
-    assert np.array_equal(np.sort(np.unique(data["surface_id"])), [0, 1])
-    assert np.all(data["part"] == 4)
+    assert list(data) == ["surface_id"]
+    assert np.array_equal(data["surface_id"], m.surf[m.alive_elems()])
     # connectivity survives the id compaction
     alive = m.alive_nodes()
     remap = {nid: k for k, nid in enumerate(alive)}
@@ -164,6 +168,24 @@ def test_vtk_roundtrip(tmp_path):
                   for e in m.alive_elems())
     got = sorted(tuple(sorted(c)) for c in cells)
     assert want == got
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+def test_vtk_of_merged_pieces_matches_whole(tmp_path, n_parts):
+    # worker pieces travel as framed arrays and are concatenated as they
+    # arrive; writing the merge must give the unsplit mesh's bytes
+    mesh, _, _ = tessellate(np.random.default_rng(5), 0.1, 0.1, 8, 0.004)
+    whole = tmp_path / "whole.vtk"
+    write_vtk(mesh.live_arrays(), whole)
+    parts = initial_partition(mesh, n_parts)
+    pieces = [decode_arrays(encode_arrays(
+        restrict_mesh(mesh, parts, r).live_arrays())) for r in range(n_parts)]
+    assert sum(len(p[0]) for p in pieces) > mesh.n_nodes()  # shared nodes
+    for order in (pieces, pieces[::-1]):
+        merged = tuple(np.concatenate(c) for c in zip(*order))
+        path = tmp_path / "merged.vtk"
+        write_vtk(merged, path)
+        assert path.read_bytes() == whole.read_bytes()
 
 
 def test_areas_vectorized_matches_scalar():

@@ -15,14 +15,14 @@ from grainflow.motion import (constrain_to_walls, decompose_junctions,
 from grainflow.protocol import (complete_temporary_nodes,
                                 node_velocities_parallel, parallel_increment,
                                 parallel_move)
-from grainflow.state import Alloc, RemeshParams, SimState, local_ceilings
+from grainflow.state import IdAllocator, RemeshParams, SimState
 
 from .conftest import grid_mesh, reconstructed
 from .helpers import one_rank
 
 
 def make_state(mesh, graph, h):
-    alloc = Alloc.fresh(*local_ceilings(mesh), rank=0, n_parts=1)
+    alloc = IdAllocator.above(mesh, graph)
     return SimState(mesh=mesh, graph=graph, alloc=alloc,
                     params=RemeshParams(h=h))
 

@@ -21,8 +21,10 @@ from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
                                 line_segments, lnodes_by_line)
 from grainflow.mesh import LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError
 from grainflow.motion import reduced_mobility
-from grainflow.remesh import MIN_AREA, settle_offsets
+from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
+                              try_collapse, try_swap)
 from grainflow.runner import RunConfig, run
+from grainflow.state import KIND_ELEM, KIND_NODE, RemeshParams
 from grainflow.transport import run_workers
 
 from .conftest import grid_mesh, reconstructed
@@ -223,7 +225,7 @@ def _run_surface_regularization(n_parts, nodes, registries, owned=None):
 
     def worker(t):
         mesh = _identity_mesh(nodes[t.rank])
-        graph = EntityGraph(t.rank, n_parts)
+        graph = EntityGraph()
         for sid in owned[t.rank]:
             graph.surfaces[sid] = Surface(sid)
         renames = pr.regularize_identities(t, mesh, graph, registries[t.rank])
@@ -276,7 +278,7 @@ def test_regularize_idempotent():
 
     def worker(t):
         mesh = _identity_mesh(nodes[t.rank])
-        graph = EntityGraph(t.rank, n_parts)
+        graph = EntityGraph()
         for _nid, (_topo, sid) in nodes[t.rank].items():
             graph.surfaces.setdefault(sid, Surface(sid))
         pr.regularize_identities(t, mesh, graph, registries[t.rank])
@@ -296,7 +298,7 @@ def test_regularize_all_kinds_and_connections():
             2: (LNODE, 10 + t.rank),
             3: (SNODE, 30 + 2 * t.rank),
         })
-        graph = EntityGraph(t.rank, 2)
+        graph = EntityGraph()
         graph.points[20 + t.rank] = Point(20 + t.rank, 1,
                                           {(KIND_LINE, 10 + t.rank)})
         graph.lines[10 + t.rank] = Line(10 + t.rank)
@@ -316,7 +318,7 @@ def test_regularize_all_kinds_and_connections():
 def test_regularize_class_mismatch_raises():
     def worker(t):
         mesh = _identity_mesh({5: (LNODE if t.rank == 0 else SNODE, 9)})
-        graph = EntityGraph(t.rank, 2)
+        graph = EntityGraph()
         graph.lines[9] = Line(9)
         graph.surfaces[9] = Surface(9)
         pr.regularize_identities(t, mesh, graph, {5: {1 - t.rank}})
@@ -476,51 +478,78 @@ def test_splice_conflict_raises():
         pr._splice_link(mesh, 1, "prv", 4)
 
 
-# -- blocking audit ----------------------------------------------------------
+# -- remesh guards at the partition cut --------------------------------------
+
+def notch(cx, cy):
+    """x = 0.5 split with one cell of the right part cut into the left."""
+    i, j = int(cx // 0.125), int(cy // 0.125)
+    return 1 if i >= 4 or (i, j) == (3, 0) else 0
+
+
+def mesh_digest(mesh: Mesh, graph: EntityGraph) -> str:
+    """Digest of every mesh array, the incidence and sharing maps, and the
+    entity graph."""
+    h = hashlib.sha256()
+    for name in ("pos", "topo", "entity", "prv", "nxt", "bnd", "node_alive",
+                 "tri", "surf", "elem_alive"):
+        h.update(getattr(mesh, name).tobytes())
+    for table in (mesh.n2e, mesh.shared):
+        h.update(repr(sorted((n, sorted(s)) for n, s in table.items())).encode())
+    h.update(repr((sorted(graph.surfaces), sorted(graph.lines),
+                   sorted((pid, p.node, sorted(p.connections))
+                          for pid, p in graph.points.items()))).encode())
+    return h.hexdigest()
+
+
+def guard_outcome(part_fn, rank, edge, op):
+    """Boot the strip on two workers and apply one remesh operator to
+    ``edge`` of ``rank``'s slice; returns (operator result, whether that
+    slice changed).  With h = 1 the collapse threshold exceeds every grid
+    edge, so only the topological guards can refuse."""
+    def worker(t):
+        st = booted(t, make_strip, part_fn)
+        if t.rank != rank:
+            return None
+        ctx = RemeshCtx(st.mesh, st.graph, st.alloc, RemeshParams(h=1.0))
+        before = mesh_digest(st.mesh, st.graph)
+        out = op(ctx, *edge)
+        return out, mesh_digest(st.mesh, st.graph) != before
+
+    return run_workers(2, worker)[rank]
+
 
 def test_edge_blocking_cases():
-    def worker(t):
-        st = booted(t, make_strip, x_split)
-        mesh = st.mesh
-        if t.rank != 0:
-            return None
-        seam = pr.edge_blocking(mesh, 31, 40)       # both shared, on the cut
-        spoke = pr.edge_blocking(mesh, 39, 40)      # one shared endpoint
-        interior = pr.edge_blocking(mesh, 19, 20)   # private bulk edge
-        return seam, spoke, interior
-
-    res = run_workers(2, worker)
-    seam, spoke, interior = res[0]
-    assert seam == (True, True, True)
-    assert spoke[0] is False and spoke[1] is False and spoke[2] is False
-    assert interior == (False, False, False)
+    # rank 0 of the x = 0.5 split: the seam edge (31, 40) has both ends
+    # shared and only one local element; every operator refuses it
+    seam = (31, 40)
+    assert guard_outcome(x_split, 0, seam, try_collapse) == (False, False)
+    assert guard_outcome(x_split, 0, seam, split_edge) == (None, False)
+    assert guard_outcome(x_split, 0, seam, try_swap) == (False, False)
+    # a spoke with one shared end whose private end dies, and a bulk edge
+    for edge in ((39, 40), (19, 20)):
+        assert guard_outcome(x_split, 0, edge, try_collapse) == (True, True)
+        nid, changed = guard_outcome(x_split, 0, edge, split_edge)
+        assert nid is not None and changed
 
 
 def test_edge_blocking_off_cut_shared_edge():
-    # a one-cell notch leaves an edge whose endpoints are both shared while
-    # the edge itself stays inside one part: collapse refused, split/swap fine
-    def notch(cx, cy):
-        i, j = int(cx // 0.125), int(cy // 0.125)
-        return 1 if i >= 4 or (i, j) == (3, 0) else 0
-
+    # the notch leaves an edge whose endpoints are both shared while the
+    # edge itself stays inside one part: collapse refused, split allowed
     def worker(t):
-        st = booted(t, make_strip, notch)
-        mesh = st.mesh
-        found = []
-        for n in sorted(mesh.shared):
-            for m in mesh.node_neighbors(n):
-                if m > n and mesh.is_shared(m) \
-                        and len(mesh.edge_elements(n, m)) == 2:
-                    found.append((n, m, pr.edge_blocking(mesh, n, m)))
-        return found
+        mesh = booted(t, make_strip, notch).mesh
+        return [(n, m) for n in sorted(mesh.shared)
+                for m in mesh.node_neighbors(n)
+                if m > n and mesh.is_shared(m)
+                and len(mesh.edge_elements(n, m)) == 2]
 
-    res = run_workers(2, worker)
-    hits = [f for r in res if r for f in r]
-    assert hits, "staircase produced no off-cut shared edge"
-    for _n, _m, (collapse, seam, swap) in hits:
-        assert collapse is True
-        assert seam is False
-        assert swap is False
+    hits = run_workers(2, worker)
+    assert any(hits), "staircase produced no off-cut shared edge"
+    for rank, edges in enumerate(hits):
+        for edge in edges:
+            assert guard_outcome(notch, rank, edge, try_collapse) \
+                == (False, False)
+            nid, changed = guard_outcome(notch, rank, edge, split_edge)
+            assert nid is not None and changed
 
 
 # -- stencil completion and velocities ---------------------------------------
@@ -713,6 +742,44 @@ def test_parallel_increment_single_worker_matches_sequential(tmp_path,
     assert state_sha256(states[-1].mesh, states[-1].graph) == GOLDEN_STATE_SHA256
 
 
+# The same run on two workers: the snapshots merge two pieces with shared
+# nodes, and ids allocated after the bootstrap are stride-disjoint per rank.
+# Recorded before the snapshot gather and the id allocators were merged.
+GOLDEN_RUN_2 = dict(GOLDEN_RUN, n_parts=2)
+GOLDEN_SHA256_2 = {
+    "stats.csv":
+        "2f196bd026b44985835274632a22c0e162ab8f07a03bb457448184fd5a1b3184",
+    "snapshot_0002.vtk":
+        "fa8b82bfc0fc7fbb4e38ff1eb586a114792bfaa3ab51f4a81fb68e8862f42392",
+    "snapshot_0004.vtk":
+        "3e7eb20d715464c63139602ec53ed18841609394302f96036f8fac879814b1a0",
+    "hist_0002.csv":
+        "93247c1b7f5a01d4b9cb8b1fe5ca2f02555a4f0c91522c291985b648077b2e16",
+    "hist_0004.csv":
+        "9c58492793d72b15adb4730c49c81986e98dc4ead9b4cf6dad740324050e3ff2",
+}
+GOLDEN_STATE_SHA256_2 = (
+    "a30c0e1598abc614d39fe5b9448a45b9d39e836fb679865ec3deb8d6c62f9fa4",
+    "c1c99ad350a9ee76aecd4487b4d8206d0bdccdf16c88be91e9860c5cfa34cb28",
+)
+
+
+def test_parallel_increment_two_workers_golden(tmp_path, monkeypatch):
+    states = {}
+
+    def keep_state(transport, state, *args):
+        states[transport.rank] = state
+        return pr.parallel_increment(transport, state, *args)
+
+    monkeypatch.setattr(runner, "parallel_increment", keep_state)
+    run(RunConfig(**GOLDEN_RUN_2, out=str(tmp_path)))
+    for name, digest in GOLDEN_SHA256_2.items():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == digest, name
+    assert tuple(state_sha256(states[r].mesh, states[r].graph)
+                 for r in range(2)) == GOLDEN_STATE_SHA256_2
+
+
 def test_parallel_increment_two_workers_consistent():
     def worker(t):
         st = booted(t, make_tjunction, x_split)
@@ -779,6 +846,27 @@ def test_bootstrap_covers_full_mesh():
     for _elems, pids, conns in res:
         for pid in pids:
             assert set(conns[pid]) <= graph_ref.points[pid].connections
+
+
+def test_bootstrap_ids_stride_disjoint():
+    # each rank allocates every kind above the highest id the full mesh
+    # uses, in its own residue class modulo the worker count
+    full, graph = reconstructed(make_tjunction())
+    ceilings = {KIND_NODE: int(full.alive_nodes().max()) + 1,
+                KIND_ELEM: int(full.alive_elems().max()) + 1,
+                KIND_POINT: max(graph.points) + 1,
+                KIND_LINE: max(graph.lines) + 1,
+                KIND_SURFACE: max(graph.surfaces) + 1}
+
+    def worker(t):
+        st = booted(t, make_tjunction, x_split)
+        return {k: [st.alloc.take(k) for _ in range(3)] for k in ceilings}
+
+    for rank, taken in enumerate(run_workers(2, worker)):
+        for kind, ids in taken.items():
+            assert 0 <= ids[0] - ceilings[kind] < 2
+            assert ids[0] % 2 == rank
+            assert ids[1:] == [ids[0] + 2, ids[0] + 4]
 
 
 def test_walk_outward_stops_at_junction():

@@ -15,13 +15,13 @@ from grainflow.remesh import (RemeshCtx, settle_offsets, collapse_sweep,
                               element_qualities, glide_line, remesh_pass,
                               smooth_bulk, split_edge, split_sweep,
                               swap_sweep, try_collapse, try_swap)
-from grainflow.state import Alloc, RemeshParams, local_ceilings
+from grainflow.state import IdAllocator, RemeshParams
 
 from .conftest import equilateral_mesh, grid_mesh, reconstructed
 
 
 def make_ctx(mesh, graph, h):
-    alloc = Alloc.fresh(*local_ceilings(mesh), rank=0, n_parts=1)
+    alloc = IdAllocator.above(mesh, graph)
     return RemeshCtx(mesh, graph, alloc, RemeshParams(h=h))
 
 

@@ -54,24 +54,6 @@ def test_histogram_empty_raises():
         gs.grain_size_histogram([])
 
 
-def test_l2_error_identical_is_zero():
-    h = np.array([0.2, 0.5, 0.3])
-    assert gs.l2_error(h, h) == 0.0
-
-
-def test_l2_error_adjacent_bins():
-    h1 = np.zeros(25)
-    h2 = np.zeros(25)
-    h1[7] = 1.0
-    h2[8] = 1.0
-    assert gs.l2_error(h1, h2) == pytest.approx(np.sqrt(2.0), rel=1e-14)
-
-
-def test_l2_error_zero_reference_raises():
-    with pytest.raises(ValueError):
-        gs.l2_error(np.zeros(3), np.ones(3))
-
-
 def test_erom_balanced_and_skewed():
     assert gs.erom([100, 100]) == 0.0
     assert gs.erom([150, 50]) == pytest.approx(1.0, rel=1e-14)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from grainflow.protocol import parallel_increment
-from grainflow.state import Alloc, RemeshParams, SimState, local_ceilings
+from grainflow.state import IdAllocator, RemeshParams, SimState
 from grainflow.tessellation import (_edge_points, _snap_key, laguerre_cells,
-                                    lognormal_sigma, load_seeds, polygon_area,
-                                    sample_radii, save_seeds, tessellate,
-                                    throw_seeds)
+                                    lognormal_sigma, polygon_area,
+                                    sample_radii, tessellate, throw_seeds)
 
 from .conftest import reconstructed
 from .helpers import one_rank
@@ -105,23 +104,11 @@ def test_tessellation_deterministic():
     assert np.array_equal(m1.tri[m1.alive_elems()], m2.tri[m2.alive_elems()])
 
 
-def test_seeds_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    centers, radii = throw_seeds(rng, 0.2, 0.2, count=25)
-    path = tmp_path / "seeds.csv"
-    save_seeds(path, centers, radii)
-    c2, r2 = load_seeds(path)
-    assert np.allclose(c2, centers, rtol=0, atol=0)
-    assert np.allclose(r2, radii, rtol=1e-12)
-    assert path.read_text().splitlines()[0] == "x,y,weight"
-
-
 def test_generated_mesh_evolves():
     mesh, _, _ = mini_mesh(seed=6, count=15, w=0.13)
     mesh, graph = reconstructed(mesh)
     state = SimState(mesh=mesh, graph=graph,
-                     alloc=Alloc.fresh(*local_ceilings(mesh), rank=0,
-                                       n_parts=1),
+                     alloc=IdAllocator.above(mesh, graph),
                      params=RemeshParams(h=0.004))
     for _ in range(2):
         one_rank(lambda t: parallel_increment(t, state, dt=10.0))

@@ -1,8 +1,11 @@
 """Round-trip and malformed-input checks for the binary record layer."""
 
+import io
 import math
+import pickle
 import struct
 
+import numpy as np
 import pytest
 
 from grainflow.mesh import NULL_ID, PNODE, LNODE, SNODE, BND_TANGENT_X
@@ -10,6 +13,7 @@ from grainflow.wire import (
     WIRE_VERSION, RT_ELEMENT, MODE_ARMS, MODE_CHAIN, WireError,
     Pair, Triplet, NodePayload, ElementPacket, TempNodeRequest,
     TempNodeReply, FlipNotice, encode_records, decode_records,
+    encode_arrays, decode_arrays,
 )
 
 
@@ -116,3 +120,43 @@ def test_short_fixed_payload_rejected():
     buf = struct.pack("<BBI", WIRE_VERSION, 1, len(body)) + body
     with pytest.raises(WireError, match="malformed"):
         decode_records(buf)
+
+
+# -- framed arrays -----------------------------------------------------------
+
+ARRAYS = [
+    np.array([3, -1, 2**62], dtype=np.int64),
+    np.arange(12, dtype=np.int64).reshape(4, 3),
+    np.zeros((0, 3), dtype=np.int64),
+    np.array([0.1, -0.0, math.pi, 1e-300, math.inf]),
+    np.random.default_rng(0).random((5, 2)),
+    np.zeros(0),
+    np.int64(7),
+]
+
+
+def test_arrays_roundtrip_exactly():
+    out = decode_arrays(encode_arrays(ARRAYS))
+    assert len(out) == len(ARRAYS)
+    for a, b in zip(ARRAYS, out):
+        assert b.dtype == a.dtype and b.shape == np.shape(a)
+        assert b.tobytes() == np.asarray(a).tobytes()
+    assert decode_arrays(encode_arrays([])) == []
+
+
+def test_arrays_truncated_rejected():
+    buf = encode_arrays(ARRAYS)
+    for cut in range(len(buf)):
+        with pytest.raises(WireError):
+            decode_arrays(buf[:cut])
+    with pytest.raises(WireError):
+        decode_arrays(buf + b"\0")
+
+
+def test_arrays_pickled_rejected():
+    count = struct.pack("<I", 1)
+    obj = io.BytesIO()
+    np.save(obj, np.array([{"x": 1}], dtype=object), allow_pickle=True)
+    for payload in (obj.getvalue(), pickle.dumps([1, 2, 3])):
+        with pytest.raises(WireError):
+            decode_arrays(count + payload)
