@@ -33,8 +33,8 @@ from .entities import (EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE,
                        Line, Point, Surface, line_segments,
                        lnodes_by_line, reconstruct_entities, rename_entities,
                        tag_nodes)
-from .geometry import closed_curvature, curvature_at, junction_curvature, \
-    open_curvature
+from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
+                       spline_curvature)
 from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
                    is_domain_boundary_edge)
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
@@ -262,8 +262,7 @@ def _node_payload(mesh, graph, nid):
     nid = int(nid)
     topo = int(mesh.topo[nid])
     payload = dict(node=nid, x=float(mesh.pos[nid, 0]), y=float(mesh.pos[nid, 1]),
-                   topo=topo, entity=int(mesh.entity[nid]), bnd=int(mesh.bnd[nid]),
-                   shared=tuple(sorted(mesh.shared.get(nid, ()))))
+                   topo=topo, entity=int(mesh.entity[nid]), bnd=int(mesh.bnd[nid]))
     if topo == LNODE:
         payload.update(prv=int(mesh.prv[nid]), nxt=int(mesh.nxt[nid]),
                        line=int(mesh.entity[nid]))
@@ -459,16 +458,16 @@ def _sweep_graph(mesh, graph):
 
 # -- stencil completion ------------------------------------------------------
 
-def _junction_arms_shared(mesh, graph, nid):
+def _junction_arms_shared(mesh, graph, members, nid):
     """Arms of a shared junction from topology alone.
 
     The usual two-element surface comparison cannot see an arm whose edge
     straddles the partition cut, so arms are read off the entity structure:
-    chain-linked line members, adjacent far junctions of member-less lines,
-    and wall edges.  Each owner reports what it holds; unions are exact.
+    chain-linked line members, adjacent far junctions of member-less lines
+    (``members`` is ``lnodes_by_line(mesh)``), and wall edges.  Each owner
+    reports what it holds; unions are exact.
     """
     pt = graph.points.get(int(mesh.entity[nid]))
-    members = lnodes_by_line(mesh)
     arms: dict[int, np.ndarray] = {}
     for m in mesh.node_neighbors(nid):
         if int(mesh.topo[m]) == LNODE and \
@@ -558,6 +557,14 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
         for j in sorted(registry[n]):
             outbox[j].append(req)
 
+    members = None  # lnodes_by_line, scanned once and only at a junction
+
+    def arms_at(n):
+        nonlocal members
+        if members is None:
+            members = lnodes_by_line(mesh)
+        return _junction_arms_shared(mesh, graph, members, n)
+
     request_blobs = transport.all_to_all([encode_records(o) for o in outbox])
     replies: list[list[TempNodeReply]] = [[] for _ in range(transport.size)]
     for src, blob in enumerate(request_blobs):
@@ -575,7 +582,7 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
                         MODE_CHAIN, req.line, req.node,
                         tuple((m, float(p[0]), float(p[1])) for m, p in run)))
             else:
-                arms = _junction_arms_shared(mesh, graph, req.node)
+                arms = arms_at(req.node)
                 replies[src].append(TempNodeReply(
                     MODE_ARMS, NULL_ID, req.node,
                     tuple((m, float(p[0]), float(p[1])) for m, p in arms)))
@@ -605,8 +612,7 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
             for run in _local_sides(mesh, lid, n):
                 offer(lid, n, run)
         elif topo == PNODE:
-            support.point_arms[n] = {
-                m: p.copy() for m, p in _junction_arms_shared(mesh, graph, n)}
+            support.point_arms[n] = {m: p.copy() for m, p in arms_at(n)}
     for blob in reply_blobs:
         for rep in decode_records(blob):
             samples = [(m, np.array([x, y])) for m, x, y in rep.samples]
@@ -643,27 +649,30 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
                              support: StencilSupport) -> np.ndarray:
     """Curvature velocity for every line and junction node, walls applied.
 
-    Closed loops get a periodic spline, open segments one batched natural
-    spline solve, junctions the arm formula; bulk nodes carry zero velocity
-    and follow through smoothing.  Part of a stencil may live remotely: open
-    segments are extended by the far-side samples before spline fitting,
-    shared line nodes are re-evaluated on a canonical five-point window, and
-    shared junctions use the merged global arm set, so all owners produce
-    bit-identical values.
+    Every spline of the evaluation goes into one batched solve: open
+    segments with natural ends, closed loops periodic, and one not-a-knot
+    window per shared line node.  Junctions take the arm formula; bulk nodes
+    carry zero velocity and follow through smoothing.  Part of a stencil may
+    live remotely: open segments are extended by the far-side samples before
+    fitting, shared line nodes take the value of their canonical five-point
+    window, and shared junctions use the merged global arm set, so all
+    owners produce bit-identical values.
     """
     vel = np.zeros_like(mesh.pos)
     members = lnodes_by_line(mesh)
     chains: list[np.ndarray] = []
-    writes: list[tuple[np.ndarray, slice]] = []
+    ends: list[int] = []
+    writes: list[tuple[np.ndarray, np.ndarray]] = []
     for lid in sorted(graph.lines):
         for seg in line_segments(mesh, lid, members.get(lid, [])):
-            if seg.closed:
-                ids = np.asarray(seg.nodes)
-                vel[ids] = mobility * closed_curvature(mesh.pos[ids])
-                continue
             ids = np.asarray(seg.nodes)
+            if seg.closed:
+                chains.append(mesh.pos[ids])
+                ends.append(PERIODIC)
+                writes.append((ids, np.arange(len(ids))))
+                continue
             if len(ids) == 1:
-                continue  # lone shared node; the window pass covers it
+                continue  # lone shared node; its window covers it
             pts = [mesh.pos[ids]]
             lead = 0
             head, tail = int(ids[0]), int(ids[-1])
@@ -676,20 +685,20 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
                 run = support.far_side(lid, tail, int(ids[-2]))
                 if run:
                     pts.append(np.array([p for _, p in run]))
-            chains.append(np.vstack(pts))
-            writes.append((ids, slice(lead, lead + len(ids))))
-    if chains:
-        for (ids, window), kap in zip(writes, open_curvature(chains)):
-            kap = kap[window]
             keep = (mesh.topo[ids] == LNODE) \
                 & np.array([not mesh.is_shared(int(n)) for n in ids])
-            vel[ids[keep]] = mobility * kap[keep]
-
+            chains.append(np.vstack(pts))
+            ends.append(NATURAL)
+            writes.append((ids[keep], lead + np.flatnonzero(keep)))
     for n in sorted(mesh.shared):
         if int(mesh.topo[n]) != LNODE:
             continue
-        vel[n] = mobility * _shared_window_curvature(
-            mesh, support, int(mesh.entity[n]), n)
+        knots, index = _shared_window(mesh, support, int(mesh.entity[n]), n)
+        chains.append(knots)
+        ends.append(NOT_A_KNOT)
+        writes.append((np.array([n]), np.array([index])))
+    for (ids, rows), kap in zip(writes, spline_curvature(chains, ends)):
+        vel[ids] = mobility * kap[rows]
 
     for pid in sorted(graph.points):
         n = graph.points[pid].node
@@ -702,8 +711,9 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
     return vel
 
 
-def _shared_window_curvature(mesh, support, lid, nid):
-    """Curvature at a shared line node from the canonical stencil window.
+def _shared_window(mesh, support, lid, nid):
+    """Knots of the canonical stencil window at a shared line node, and the
+    node's index in them.
 
     The window is the node plus up to two samples per side, sides ordered by
     their first node id and the whole window flipped to ascending endpoint
@@ -717,7 +727,7 @@ def _shared_window_curvature(mesh, support, lid, nid):
     if len(pts) >= 2 and ids[0] > ids[-1]:
         pts = pts[::-1]
         index = len(pts) - 1 - index
-    return curvature_at(np.asarray(pts), index)
+    return np.asarray(pts), index
 
 
 # -- collective movement -----------------------------------------------------

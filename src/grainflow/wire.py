@@ -19,7 +19,7 @@ import numpy as np
 
 from .mesh import NULL_ID
 
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 RT_PAIR = 1
 RT_TRIPLET = 2
@@ -36,15 +36,13 @@ _HEADER = struct.Struct("<BBI")
 _PAIR = struct.Struct("<qq")
 _TRIPLET = struct.Struct("<qqi")
 _FLIP = struct.Struct("<q")
-_TEMP_REQ = struct.Struct("<Bqqq")
+_TEMP_REQ = struct.Struct("<Bqq")
 _NODE_FIXED = struct.Struct("<qddBqb")
 _ELEM_HEAD = struct.Struct("<qqI")
 _U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
 _I64_PAIR = struct.Struct("<qq")
 _I64_3 = struct.Struct("<qqq")
 _SAMPLE = struct.Struct("<qdd")
-_I32 = struct.Struct("<i")
 
 
 class WireError(Exception):
@@ -71,16 +69,16 @@ class Triplet:
 @dataclass(frozen=True)
 class NodePayload:
     """One node inside an element packet, complete enough to instantiate on
-    the receiver: geometry, classification, boundary kind, co-owner ranks,
-    and per-class connectivity (line membership for an L-node, line
-    connections with their anchor nodes for a P-node)."""
+    the receiver: geometry, classification, boundary kind and per-class
+    connectivity (line membership for an L-node, line connections with their
+    anchor nodes for a P-node).  Co-owner ranks do not travel: the receiver
+    rebuilds its shared-node registry after every scatter."""
     node: int
     x: float
     y: float
     topo: int
     entity: int
     bnd: int
-    shared: tuple[int, ...] = ()
     prv: int = NULL_ID
     nxt: int = NULL_ID
     line: int = NULL_ID
@@ -99,15 +97,13 @@ class ElementPacket:
 class TempNodeRequest:
     """Ask a co-owner for stencil support at a shared node.
 
-    ``MODE_CHAIN`` asks for the continuation of ``line`` past ``node`` on the
-    far side from ``adjacent`` (the requester's own neighbour along the
-    chain); ``MODE_ARMS`` asks for the junction arm endpoints around
-    ``node``, with ``line`` and ``adjacent`` unused.
+    ``MODE_CHAIN`` asks for the owner's chain samples of ``line`` on both
+    sides of ``node``; ``MODE_ARMS`` asks for the junction arm endpoints
+    around ``node``, with ``line`` unused.
     """
     mode: int
     line: int
     node: int
-    adjacent: int = NULL_ID
 
 
 @dataclass(frozen=True)
@@ -132,11 +128,8 @@ Record = Pair | Triplet | ElementPacket | TempNodeRequest | TempNodeReply | Flip
 
 
 def _encode_node(n: NodePayload) -> bytes:
-    out = [_NODE_FIXED.pack(n.node, n.x, n.y, n.topo, n.entity, n.bnd)]
-    out.append(_U32.pack(len(n.shared)))
-    for r in n.shared:
-        out.append(_I32.pack(r))
-    out.append(_I64_3.pack(n.prv, n.nxt, n.line))
+    out = [_NODE_FIXED.pack(n.node, n.x, n.y, n.topo, n.entity, n.bnd),
+           _I64_3.pack(n.prv, n.nxt, n.line)]
     out.append(_U32.pack(len(n.connections)))
     for lid, anchor in n.connections:
         out.append(_I64_PAIR.pack(lid, anchor))
@@ -146,13 +139,6 @@ def _encode_node(n: NodePayload) -> bytes:
 def _decode_node(buf: bytes, off: int) -> tuple[NodePayload, int]:
     node, x, y, topo, entity, bnd = _NODE_FIXED.unpack_from(buf, off)
     off += _NODE_FIXED.size
-    (nsh,) = _U32.unpack_from(buf, off)
-    off += _U32.size
-    shared = []
-    for _ in range(nsh):
-        (r,) = _I32.unpack_from(buf, off)
-        off += _I32.size
-        shared.append(r)
     prv, nxt, line = _I64_3.unpack_from(buf, off)
     off += _I64_3.size
     (ncon,) = _U32.unpack_from(buf, off)
@@ -162,8 +148,8 @@ def _decode_node(buf: bytes, off: int) -> tuple[NodePayload, int]:
         lid, anchor = _I64_PAIR.unpack_from(buf, off)
         off += _I64_PAIR.size
         conns.append((lid, anchor))
-    return NodePayload(node, x, y, topo, entity, bnd, tuple(shared),
-                       prv, nxt, line, tuple(conns)), off
+    return NodePayload(node, x, y, topo, entity, bnd, prv, nxt, line,
+                       tuple(conns)), off
 
 
 def _payload(rec: Record) -> tuple[int, bytes]:
@@ -177,8 +163,7 @@ def _payload(rec: Record) -> tuple[int, bytes]:
             out.append(_encode_node(n))
         return RT_ELEMENT, b"".join(out)
     if isinstance(rec, TempNodeRequest):
-        return RT_TEMP_REQUEST, _TEMP_REQ.pack(rec.mode, rec.line, rec.node,
-                                               rec.adjacent)
+        return RT_TEMP_REQUEST, _TEMP_REQ.pack(rec.mode, rec.line, rec.node)
     if isinstance(rec, TempNodeReply):
         out = [struct.pack("<BqqI", rec.mode, rec.line, rec.node,
                            len(rec.samples))]

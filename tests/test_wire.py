@@ -36,10 +36,12 @@ def test_pair_triplet_flip_roundtrip():
 
 
 def test_temp_request_roundtrip():
-    recs = [TempNodeRequest(MODE_CHAIN, 3, 17, 28),
-            TempNodeRequest(MODE_CHAIN, 3, 17),
+    recs = [TempNodeRequest(MODE_CHAIN, 3, 17),
+            TempNodeRequest(MODE_CHAIN, 4, NULL_ID),
             TempNodeRequest(MODE_ARMS, NULL_ID, 99)]
     assert roundtrip(recs) == recs
+    # header, then mode (u8), line and node (i64 each)
+    assert len(encode_records(recs[:1])) == 6 + 1 + 8 + 8
 
 
 def test_temp_reply_float_bits_survive():
@@ -60,16 +62,20 @@ def test_temp_reply_float_bits_survive():
 def test_element_packet_roundtrip():
     nodes = (
         NodePayload(5, 0.25, 0.5, SNODE, 12, -1),
-        NodePayload(6, 1.0 / 3.0, 0.1, LNODE, 4, -1, shared=(0, 2),
+        NodePayload(6, 1.0 / 3.0, 0.1, LNODE, 4, -1,
                     prv=9, nxt=NULL_ID, line=4),
-        NodePayload(7, 0.0, 0.0, PNODE, 3, BND_TANGENT_X, shared=(1,),
+        NodePayload(7, 0.0, 0.0, PNODE, 3, BND_TANGENT_X,
                     connections=((4, 6), (8, NULL_ID))),
     )
     recs = [ElementPacket(40, 12, nodes), ElementPacket(41, 12, nodes[:1] * 3)]
     out = roundtrip(recs)
     assert out == recs
-    assert out[0].nodes[1].shared == (0, 2)
+    assert (out[0].nodes[1].prv, out[0].nodes[1].line) == (9, 4)
     assert out[0].nodes[2].connections == ((4, 6), (8, NULL_ID))
+    # header, element head (i64, i64, u32), then per node the fixed part
+    # (i64, f64, f64, u8, i64, i8), prv/nxt/line (3 x i64) and a u32 count
+    # of connections
+    assert len(encode_records(recs[1:])) == 6 + 20 + 3 * (34 + 24 + 4)
 
 
 def test_mixed_stream_preserves_order():
