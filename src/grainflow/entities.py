@@ -12,7 +12,10 @@ A line is stored implicitly: each of its L-nodes carries the line id plus
 links to the previous and next node on the chain (NULL_ID at a break, a
 P-node id at an attached endpoint).  A line crossing into another partition
 is therefore just a chain that stops early; segments can always be retraced
-locally from the element tags.
+locally from the element tags.  One tracer writes these links from the
+interface edges, in a canonical orientation: reconstruction numbers its
+lines by the runs it traces, and ``recanonicalize_lines`` reruns it on an
+evolved mesh.
 """
 
 from __future__ import annotations
@@ -126,17 +129,17 @@ def reconstruct_entities(mesh: Mesh) -> EntityGraph:
 
     Surfaces are edge-connected components of same-tag elements, discovered
     in ascending element id order; element tags are rewritten to the new
-    surface ids.  Boundary lines are traced as chains of
-    L-nodes, truncated wherever they leave the partition, and every P-node
-    becomes a point whose connections list the lines ending there.
+    surface ids.  Every P-node becomes a point.  Each connected run of
+    L-nodes becomes a line, numbered in ascending order of the run's
+    smallest node and linked by the ``recanonicalize_lines`` tracer; bare
+    junction-to-junction interface edges come after them.  A point's
+    connections list the lines ending there.
     """
     graph = EntityGraph()
     _build_surfaces(mesh, graph)
-    edges, ee = mesh.edge_array(with_elems=True)
-    iface = edges[interface_edge_mask(mesh, edges, ee)]
-    adj = _interface_adjacency(mesh, iface)
-    _build_points(mesh, graph, adj)
-    _trace_lines(mesh, graph, adj)
+    adj = _interface_adjacency(mesh)
+    _build_points(mesh, graph)
+    _build_lines(mesh, graph, adj)
     return graph
 
 
@@ -168,9 +171,11 @@ def _build_surfaces(mesh: Mesh, graph: EntityGraph) -> None:
             mesh.entity[nid] = mesh.surf[min(mesh.n2e[nid])]
 
 
-def _interface_adjacency(mesh: Mesh, iface: np.ndarray) -> dict[int, list[int]]:
+def _interface_adjacency(mesh: Mesh) -> dict[int, list[int]]:
+    """Interface neighbors of every node on an interface, ascending."""
+    edges, ee = mesh.edge_array(with_elems=True)
     adj: dict[int, list[int]] = {}
-    for a, b in iface:
+    for a, b in edges[interface_edge_mask(mesh, edges, ee)]:
         a, b = int(a), int(b)
         if mesh.topo[a] == SNODE or mesh.topo[b] == SNODE:
             raise TopologyError(
@@ -182,7 +187,7 @@ def _interface_adjacency(mesh: Mesh, iface: np.ndarray) -> dict[int, list[int]]:
     return adj
 
 
-def _build_points(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> None:
+def _build_points(mesh: Mesh, graph: EntityGraph) -> None:
     for nid in mesh.alive_nodes():
         nid = int(nid)
         if mesh.topo[nid] == PNODE:
@@ -191,24 +196,14 @@ def _build_points(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> 
             mesh.entity[nid] = pid
 
 
-def _trace_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> None:
-    lnodes = [int(n) for n in mesh.alive_nodes() if mesh.topo[n] == LNODE]
-    for nid in lnodes:
-        if nid in adj:
-            deg = sum(1 for m in adj[nid] if mesh.topo[m] == LNODE)
-            deg += sum(1 for m in adj[nid] if mesh.topo[m] == PNODE)
-            if deg > 2:
-                raise TopologyError(
-                    f"L-node {nid} has {deg} interface neighbors; tagging is inconsistent")
-    assigned: set[int] = set()
-    for nid in sorted(lnodes):
-        if nid in assigned:
-            continue
-        chain, closed = _walk_chain(mesh, adj, nid)
+def _build_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> None:
+    for run in _link_runs(mesh, adj):
         lid = len(graph.lines)
         graph.lines[lid] = Line(lid)
-        _link_chain(mesh, graph, chain, closed, lid)
-        assigned.update(n for n in chain if mesh.topo[n] == LNODE)
+        mesh.entity[run] = lid
+        for end in (int(mesh.prv[run[0]]), int(mesh.nxt[run[-1]])):
+            if end != NULL_ID and mesh.topo[end] == PNODE:
+                graph.point_at(mesh, end).connections.add((KIND_LINE, lid))
     # bare point-to-point interface edges carry a line of their own
     for nid in sorted(adj):
         if mesh.topo[nid] != PNODE:
@@ -221,82 +216,73 @@ def _trace_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> N
                     graph.point_at(mesh, end).connections.add((KIND_LINE, lid))
 
 
-def _walk_chain(mesh: Mesh, adj: dict[int, list[int]], start: int):
-    """Maximal chain of L-nodes through ``start``; returns (nodes, closed).
+def _link_runs(mesh: Mesh, adj: dict[int, list[int]]) -> list[list[int]]:
+    """Rewrite the prev/next links of every live L-node from the interface
+    adjacency ``adj``; returns the L-node runs in ascending order of their
+    smallest node, each in link order.
 
-    Open chains include an attached P-node at either end when present.
+    Two L-nodes joined by an interface edge are consecutive.  A closed run
+    starts at its smallest node and heads toward the smaller of that node's
+    neighbors.  An open run heads from its smaller end node to its larger
+    one, and each end links the smallest junction adjacent to it (a lone
+    L-node links its two smallest junctions, prev first).
     """
-    def lneigh(n):
-        return [m for m in adj.get(n, []) if mesh.topo[m] == LNODE]
+    nids = mesh.alive_nodes()
+    ln = [int(n) for n in nids[mesh.topo[nids] == LNODE]]
+    neigh: dict[int, list[int]] = {}
+    terminal: dict[int, list[int]] = {}
+    for n in ln:
+        around = adj.get(n, [])
+        neigh[n] = [m for m in around if mesh.topo[m] == LNODE]
+        terminal[n] = [m for m in around if mesh.topo[m] == PNODE]
+        deg = len(neigh[n]) + len(terminal[n])
+        if deg > 2:
+            raise TopologyError(
+                f"L-node {n} has {deg} interface neighbors; tagging is inconsistent")
+    mesh.prv[ln] = NULL_ID
+    mesh.nxt[ln] = NULL_ID
 
-    chain = [start]
-    closed = False
-    for direction in (0, 1):
-        prev = start
-        cands = lneigh(start)
-        if direction >= len(cands):
+    def walk(start, cur):
+        """Nodes from ``cur`` on, away from ``start``; whether it closed."""
+        out, prev = [], start
+        while cur is not None and cur != start:
+            out.append(cur)
+            follow = [m for m in neigh[cur] if m != prev]
+            prev, cur = cur, (follow[0] if follow else None)
+        return out, cur == start
+
+    runs: list[list[int]] = []
+    seen: set[int] = set()
+    for start in ln:
+        if start in seen:
             continue
-        cur = cands[direction]
-        while True:
-            if cur == start:
-                closed = True
-                break
-            if direction == 0:
-                chain.append(cur)
-            else:
-                chain.insert(0, cur)
-            nxt = [m for m in lneigh(cur) if m != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        nb = neigh[start]
+        fwd, closed = walk(start, nb[0]) if nb else ([], False)
+        back = walk(start, nb[1])[0] if len(nb) == 2 and not closed else []
+        chain = back[::-1] + [start] + fwd
+        seen.update(chain)
+        m = len(chain)
         if closed:
-            break
-    if not closed:
-        # attach terminal P-nodes where the chain ends at a junction; a loop
-        # pinched at one junction reuses the same P-node on both ends
-        head, tail = chain[0], chain[-1]
-        ph = [m for m in adj.get(head, []) if mesh.topo[m] == PNODE]
-        pt = [m for m in adj.get(tail, []) if mesh.topo[m] == PNODE]
-        if head == tail:
-            if ph:
-                chain.insert(0, ph[0])
-            if len(pt) >= 2:
-                chain.append(pt[1])
-        else:
-            if ph:
-                chain.insert(0, ph[0])
-            if pt:
-                chain.append(pt[0])
-    return chain, closed
-
-
-def _link_chain(mesh: Mesh, graph: EntityGraph, chain: list[int], closed: bool,
-                lid: int) -> None:
-    n = len(chain)
-    if closed:
-        # canonical cycle: start at the smallest id, walk toward its smaller neighbor
-        k = chain.index(min(chain))
-        chain = chain[k:] + chain[:k]
-        if n > 2 and chain[-1] < chain[1]:
-            chain = [chain[0]] + chain[1:][::-1]
-        for i, nid in enumerate(chain):
-            mesh.entity[nid] = lid
-            mesh.prv[nid] = chain[(i - 1) % n]
-            mesh.nxt[nid] = chain[(i + 1) % n]
-        return
-    # orient by L-node ends so retracing from links reproduces the direction
-    lends = [c for c in chain if mesh.topo[c] == LNODE]
-    if lends[-1] < lends[0]:
-        chain = chain[::-1]
-    for i, nid in enumerate(chain):
-        if mesh.topo[nid] != LNODE:
+            if m > 2 and chain[-1] < chain[1]:
+                chain = [chain[0]] + chain[1:][::-1]
+            for i, nid in enumerate(chain):
+                mesh.prv[nid] = chain[(i - 1) % m]
+                mesh.nxt[nid] = chain[(i + 1) % m]
+            runs.append(chain)
             continue
-        mesh.entity[nid] = lid
-        mesh.prv[nid] = chain[i - 1] if i > 0 else NULL_ID
-        mesh.nxt[nid] = chain[i + 1] if i < n - 1 else NULL_ID
-    for nid in (chain[0], chain[-1]):
-        if mesh.topo[nid] == PNODE:
-            graph.point_at(mesh, nid).connections.add((KIND_LINE, lid))
+        if chain[-1] < chain[0]:
+            chain = chain[::-1]
+        for i, nid in enumerate(chain):
+            mesh.prv[nid] = chain[i - 1] if i > 0 else NULL_ID
+            mesh.nxt[nid] = chain[i + 1] if i < m - 1 else NULL_ID
+        head = terminal[chain[0]]
+        tail = terminal[chain[-1]][m == 1:]
+        if head:
+            mesh.prv[chain[0]] = head[0]
+        if tail:
+            mesh.nxt[chain[-1]] = tail[0]
+        runs.append(chain)
+    return runs
 
 
 def lnodes_by_line(mesh: Mesh) -> dict[int, list[int]]:
@@ -373,7 +359,7 @@ def line_segments(mesh: Mesh, lid: int, members: list[int]) -> list[Segment]:
     return segs
 
 
-def recanonicalize_lines(mesh: Mesh, graph: EntityGraph) -> None:
+def recanonicalize_lines(mesh: Mesh) -> None:
     """Rebuild all prev/next links from element tags.
 
     After elements migrate between partitions the carried links may point at
@@ -381,85 +367,17 @@ def recanonicalize_lines(mesh: Mesh, graph: EntityGraph) -> None:
     that grew independently.  Neighborhood on a line is recoverable from the
     mesh itself (two same-line nodes joined by an interface edge are
     consecutive), so the links are cache, not truth; this rewrites them in a
-    canonical per-segment orientation.
+    canonical per-segment orientation.  Reconstruction links its lines with
+    the same tracer, so on a freshly reconstructed mesh this is a no-op.
     """
-    edges, ee = mesh.edge_array(with_elems=True)
-    iface = edges[interface_edge_mask(mesh, edges, ee)]
-    neigh: dict[int, list[int]] = {}
-    terminal: dict[int, list[int]] = {}
-    for a, b in iface:
-        a, b = int(a), int(b)
-        ta, tb = mesh.topo[a], mesh.topo[b]
-        if ta == LNODE and tb == LNODE:
-            if mesh.entity[a] != mesh.entity[b]:
+    adj = _interface_adjacency(mesh)
+    for a in sorted(adj):
+        for b in adj[a]:
+            if (a < b and mesh.topo[a] == LNODE and mesh.topo[b] == LNODE
+                    and mesh.entity[a] != mesh.entity[b]):
                 raise TopologyError(
                     f"interface edge ({a}, {b}) joins different lines")
-            neigh.setdefault(a, []).append(b)
-            neigh.setdefault(b, []).append(a)
-        elif ta == LNODE and tb == PNODE:
-            terminal.setdefault(a, []).append(b)
-        elif ta == PNODE and tb == LNODE:
-            terminal.setdefault(b, []).append(a)
-
-    nids = mesh.alive_nodes()
-    ln = [int(n) for n in nids[mesh.topo[nids] == LNODE]]
-    for n in ln:
-        mesh.prv[n] = NULL_ID
-        mesh.nxt[n] = NULL_ID
-        if len(neigh.get(n, ())) + len(terminal.get(n, ())) > 2:
-            raise TopologyError(f"L-node {n} has more than two line neighbors")
-
-    seen: set[int] = set()
-    for start in sorted(ln):
-        if start in seen:
-            continue
-        chain = [start]
-        closed = False
-        nb = neigh.get(start, [])
-        prev, cur = start, (nb[0] if nb else None)
-        while cur is not None:
-            if cur == start:
-                closed = True
-                break
-            chain.append(cur)
-            follow = [m for m in neigh.get(cur, []) if m != prev]
-            prev, cur = cur, (follow[0] if follow else None)
-        if not closed and len(nb) == 2:
-            prev, cur = start, nb[1]
-            while cur is not None:
-                chain.insert(0, cur)
-                follow = [m for m in neigh.get(cur, []) if m != prev]
-                prev, cur = cur, (follow[0] if follow else None)
-        seen.update(chain)
-        if closed:
-            k = chain.index(min(chain))
-            chain = chain[k:] + chain[:k]
-            if len(chain) > 2 and chain[-1] < chain[1]:
-                chain = [chain[0]] + chain[1:][::-1]
-            m = len(chain)
-            for i, nid in enumerate(chain):
-                mesh.prv[nid] = chain[(i - 1) % m]
-                mesh.nxt[nid] = chain[(i + 1) % m]
-            continue
-        if chain[-1] < chain[0]:
-            chain = chain[::-1]
-        m = len(chain)
-        for i, nid in enumerate(chain):
-            mesh.prv[nid] = chain[i - 1] if i > 0 else NULL_ID
-            mesh.nxt[nid] = chain[i + 1] if i < m - 1 else NULL_ID
-        if m == 1:
-            ps = sorted(set(terminal.get(chain[0], [])))
-            if ps:
-                mesh.prv[chain[0]] = ps[0]
-            if len(ps) >= 2:
-                mesh.nxt[chain[0]] = ps[1]
-        else:
-            head_p = terminal.get(chain[0], [])
-            tail_p = terminal.get(chain[-1], [])
-            if head_p:
-                mesh.prv[chain[0]] = head_p[0]
-            if tail_p:
-                mesh.nxt[chain[-1]] = tail_p[0]
+    _link_runs(mesh, adj)
 
 
 def rename_entities(mesh: Mesh, graph: EntityGraph, kind: str,

@@ -1,5 +1,7 @@
 """Node classes, entity reconstruction, line tracing and renaming."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from grainflow.entities import (
     is_interface_edge,
 )
 from grainflow.state import KIND_ELEM, KIND_NODE, IdAllocator
+from grainflow.tessellation import tessellate
 
 from .conftest import grid_mesh, reconstructed
 
@@ -104,6 +107,34 @@ def test_closed_loop_line():
         assert int(m.prv[int(m.nxt[n])]) == n
 
 
+# sha256 of the node and element entity arrays and the sorted entity graph,
+# point connections included, after reconstructing 0.2 mm / 30-grain
+# tessellations (h = 0.004 mm); recorded before reconstruction took its chain
+# links from the ``recanonicalize_lines`` tracer.
+GOLDEN_RECONSTRUCTION = {
+    0: "0ad80f668f38e9091a544fc2dfa9dd7b6891fd6ff80de460eada69f1dfa56ea2",
+    1: "c404d0332d0d369ecce89b205b9f1c318ba7307b19411525d9d05c819682d17c",
+    2: "00d797a3dda2ee589381d54ebecba819ff1692e2e6ced5e7a0d3dbedaf303f52",
+    3: "272e7fffde5b4a46312afeaa7ad4da33adbb23032db110577fe703fe507f9493",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_RECONSTRUCTION))
+def test_reconstruction_golden(seed):
+    m, _, _ = tessellate(np.random.default_rng(seed), 0.2, 0.2, 30, 0.004)
+    m, g = reconstructed(m)
+    h = hashlib.sha256()
+    for name in ("entity", "prv", "nxt", "topo", "surf"):
+        h.update(getattr(m, name).tobytes())
+    h.update(repr((
+        sorted((pid, p.node, sorted(p.connections))
+               for pid, p in g.points.items()),
+        sorted(g.lines),
+        sorted((sid, s.orig_tag) for sid, s in g.surfaces.items()),
+    )).encode())
+    assert h.hexdigest() == GOLDEN_RECONSTRUCTION[seed]
+
+
 def test_stride_ids_per_rank(strip_mesh):
     # reconstruction numbers each kind 0, 1, 2, ...; rank 1 of 3 then
     # allocates above the highest id in use, in its own residue class
@@ -168,7 +199,7 @@ def test_recanonicalize_reproduces_links(strip_mesh):
     rng = np.random.default_rng(3)
     m.prv[ln] = rng.permutation(ln)
     m.nxt[ln] = NULL_ID
-    recanonicalize_lines(m, g)
+    recanonicalize_lines(m)
     assert np.array_equal(m.prv[ln], want_prv)
     assert np.array_equal(m.nxt[ln], want_nxt)
 
@@ -181,7 +212,7 @@ def test_recanonicalize_closed_loop():
     want_nxt = m.nxt[ln].copy()
     m.prv[ln] = NULL_ID
     m.nxt[ln] = NULL_ID
-    recanonicalize_lines(m, g)
+    recanonicalize_lines(m)
     assert np.array_equal(m.prv[ln], want_prv)
     assert np.array_equal(m.nxt[ln], want_nxt)
 

@@ -169,7 +169,7 @@ def test_decompose_quadruple_point(quad_mesh):
     # the peel distance is a fixed fraction of the spacing
     assert np.linalg.norm(mesh.pos[m_node] - mesh.pos[p]) \
         == pytest.approx(0.3 * 0.125, rel=1e-9)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
     # idempotent: everything is triple now
     assert decompose_junctions(mesh, graph, state.alloc, state.params) == 0
 
@@ -192,7 +192,7 @@ def test_decompose_direct_line_arms():
     assert len(conns) == 3
     assert np.all(mesh.areas() > 0.0)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def test_decompose_skips_shared_junction(quad_mesh):

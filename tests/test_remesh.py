@@ -234,7 +234,7 @@ def test_collapse_junction_pair_merges_lines():
     assert total_area(mesh) == pytest.approx(area0, abs=1e-12)
     assert all_positive(mesh)
     assert_ctx_counts(ctx)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def lens_mesh():
@@ -303,7 +303,7 @@ def test_collapse_lens_death():
     assert total_area(mesh) == pytest.approx(area0, abs=1e-12)
     assert all_positive(mesh)
     assert_ctx_counts(ctx)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def island_mesh():
@@ -451,7 +451,7 @@ def test_split_interface_edge_extends_chain(strip_mesh):
     assert int(mesh.nxt[nid]) == b and int(mesh.prv[b]) == nid
     assert len(lnodes_by_line(mesh)[lid]) == n_line + 1
     assert_ctx_counts(ctx)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def test_split_junction_line_edge():
@@ -466,7 +466,7 @@ def test_split_junction_line_edge():
     lid = int(mesh.entity[nid])
     assert ctx.line_count[lid] == 1
     assert_ctx_counts(ctx)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def test_split_wall_edge():
@@ -503,7 +503,7 @@ def test_split_sweep_reaches_fixpoint(strip_mesh):
     assert all_positive(mesh)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
     assert_ctx_counts(ctx)
-    recanonicalize_lines(mesh, graph)
+    recanonicalize_lines(mesh)
 
 
 def test_split_sweep_deterministic():
