@@ -12,9 +12,9 @@ here keep the partitions telling one consistent story:
 * unidirectional element selection and scattering, which migrate boundary
   layers toward less loaded workers while splicing chains and junction
   connections back together on the receiving side,
-* stencil completion, which hands each worker the few remote positions it
-  needs so curvature at a shared node comes out bit-identical on every
-  owner,
+* stencil completion, in which every owner pushes its co-owners, unasked
+  and in one exchange, the few positions they need so curvature at a
+  shared node comes out bit-identical on every owner,
 * a collective movement sweep whose flip back-off is agreed globally, so
   shared nodes land on exactly the same coordinates everywhere.
 
@@ -45,7 +45,7 @@ from .remesh import (BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA,
 from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
 from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
-                   NodePayload, Pair, TempNodeReply, TempNodeRequest, Triplet,
+                   NodePayload, Pair, TempNodeReply, Triplet,
                    decode_records, encode_records)
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
@@ -286,7 +286,6 @@ class ScatterReport:
     sent: dict[int, list[int]] = field(default_factory=dict)
     received: list[int] = field(default_factory=list)
     touched_nodes: set[int] = field(default_factory=set)
-    registry: dict[int, set[int]] = field(default_factory=dict)
 
 
 def scatter_mesh(transport: Transport, state: SimState,
@@ -322,7 +321,7 @@ def scatter_mesh(transport: Transport, state: SimState,
         _prune_sent(mesh, graph, selections, report)
     if packets or any(selections.values()):
         _sweep_graph(mesh, graph)
-    report.registry = detect_shared_nodes(transport, mesh)
+    detect_shared_nodes(transport, mesh)
     return report
 
 
@@ -532,63 +531,30 @@ def _local_sides(mesh, lid, nid):
     return sides
 
 
+def _wire_samples(run):
+    return tuple((m, float(p[0]), float(p[1])) for m, p in run)
+
+
 def complete_temporary_nodes(transport: Transport, mesh: Mesh,
                              graph: EntityGraph,
-                             registry: dict[int, set[int]] | None = None
+                             members: dict[int, list[int]] | None = None
                              ) -> StencilSupport:
-    """Collect the remote stencil support for every shared node.
+    """Exchange the remote stencil support of every shared node.
 
-    Chain requests are answered with up to ``_STENCIL_DEPTH`` nodes per
-    direction the owner holds; junction requests with the owner's local arm
-    endpoints.  All owners assemble the same merged picture, because every
-    run is keyed by its first node and the longest run per key wins.
+    Each owner sends every co-owner, unasked, what it holds at each node
+    they share: up to ``_STENCIL_DEPTH`` chain nodes per direction at a line
+    node, its local arm endpoints at a junction; nodes ascending, co-owners
+    ascending.  The shared-node registry is symmetric, so one exchange hands
+    every owner the support of all its co-owners, and all owners assemble
+    the same merged picture, because every run is keyed by its first node
+    and the longest run per key wins.  A record for a node its sender does
+    not share with this worker, or that disagrees with the local node class
+    or line, raises ``ProtocolError``.  ``members`` is
+    ``lnodes_by_line(mesh)``, scanned here when not given.
     """
-    if registry is None:
-        registry = mesh.shared
-    outbox: list[list[TempNodeRequest]] = [[] for _ in range(transport.size)]
-    for n in sorted(registry):
-        topo = int(mesh.topo[n])
-        if topo == LNODE:
-            req = TempNodeRequest(MODE_CHAIN, int(mesh.entity[n]), n)
-        elif topo == PNODE:
-            req = TempNodeRequest(MODE_ARMS, NULL_ID, n)
-        else:
-            continue
-        for j in sorted(registry[n]):
-            outbox[j].append(req)
-
-    members = None  # lnodes_by_line, scanned once and only at a junction
-
-    def arms_at(n):
-        nonlocal members
-        if members is None:
-            members = lnodes_by_line(mesh)
-        return _junction_arms_shared(mesh, graph, members, n)
-
-    request_blobs = transport.all_to_all([encode_records(o) for o in outbox])
-    replies: list[list[TempNodeReply]] = [[] for _ in range(transport.size)]
-    for src, blob in enumerate(request_blobs):
-        for req in decode_records(blob):
-            if not mesh.alive_node(req.node):
-                raise ProtocolError(
-                    f"worker {src} requested stencil at absent node {req.node}")
-            if req.mode == MODE_CHAIN:
-                if int(mesh.entity[req.node]) != req.line:
-                    raise ProtocolError(
-                        f"worker {src} puts node {req.node} on line "
-                        f"{req.line}, held on {int(mesh.entity[req.node])}")
-                for run in _local_sides(mesh, req.line, req.node):
-                    replies[src].append(TempNodeReply(
-                        MODE_CHAIN, req.line, req.node,
-                        tuple((m, float(p[0]), float(p[1])) for m, p in run)))
-            else:
-                arms = arms_at(req.node)
-                replies[src].append(TempNodeReply(
-                    MODE_ARMS, NULL_ID, req.node,
-                    tuple((m, float(p[0]), float(p[1])) for m, p in arms)))
-
-    reply_blobs = transport.all_to_all([encode_records(r) for r in replies])
-
+    if members is None:
+        members = lnodes_by_line(mesh)
+    registry = mesh.shared
     support = StencilSupport()
     best: dict[tuple[int, int], dict[int, list]] = {}
 
@@ -605,21 +571,48 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
         else:
             _check_prefix(run, old, nid)
 
+    outbox: list[list[TempNodeReply]] = [[] for _ in range(transport.size)]
     for n in sorted(registry):
         topo = int(mesh.topo[n])
         if topo == LNODE:
             lid = int(mesh.entity[n])
-            for run in _local_sides(mesh, lid, n):
+            runs = _local_sides(mesh, lid, n)
+            for run in runs:
                 offer(lid, n, run)
+            records = [TempNodeReply(MODE_CHAIN, lid, n, _wire_samples(run))
+                       for run in runs]
         elif topo == PNODE:
-            support.point_arms[n] = {m: p.copy() for m, p in arms_at(n)}
-    for blob in reply_blobs:
+            arms = _junction_arms_shared(mesh, graph, members, n)
+            support.point_arms[n] = {m: p.copy() for m, p in arms}
+            records = [TempNodeReply(MODE_ARMS, NULL_ID, n, _wire_samples(arms))]
+        else:
+            continue
+        for j in sorted(registry[n]):
+            outbox[j].extend(records)
+
+    blobs = transport.all_to_all([encode_records(o) for o in outbox])
+    for src, blob in enumerate(blobs):
         for rep in decode_records(blob):
+            n = rep.node
+            if src not in registry.get(n, ()):
+                raise ProtocolError(
+                    f"worker {src} sent stencil support at node {n}, "
+                    f"which it does not share with worker {transport.rank}")
+            topo = int(mesh.topo[n])
+            if rep.mode != (MODE_CHAIN if topo == LNODE else
+                            MODE_ARMS if topo == PNODE else None):
+                raise ProtocolError(
+                    f"worker {src} sent mode {rep.mode} stencil support at "
+                    f"node {n}, held as class {topo}")
             samples = [(m, np.array([x, y])) for m, x, y in rep.samples]
             if rep.mode == MODE_CHAIN:
-                offer(rep.line, rep.node, samples)
+                if rep.line != int(mesh.entity[n]):
+                    raise ProtocolError(
+                        f"worker {src} puts node {n} on line {rep.line}, "
+                        f"held on {int(mesh.entity[n])}")
+                offer(rep.line, n, samples)
             else:
-                merged = support.point_arms.setdefault(rep.node, {})
+                merged = support.point_arms[n]
                 for m, p in samples:
                     if m in merged and not np.array_equal(merged[m], p):
                         raise ProtocolError(
@@ -646,7 +639,9 @@ def _check_prefix(short, long, nid):
 # -- velocities with remote stencils ----------------------------------------
 
 def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
-                             support: StencilSupport) -> np.ndarray:
+                             support: StencilSupport,
+                             members: dict[int, list[int]] | None = None
+                             ) -> np.ndarray:
     """Curvature velocity for every line and junction node, walls applied.
 
     Every spline of the evaluation goes into one batched solve: open
@@ -656,10 +651,12 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
     live remotely: open segments are extended by the far-side samples before
     fitting, shared line nodes take the value of their canonical five-point
     window, and shared junctions use the merged global arm set, so all
-    owners produce bit-identical values.
+    owners produce bit-identical values.  ``members`` is
+    ``lnodes_by_line(mesh)``, scanned here when not given.
     """
     vel = np.zeros_like(mesh.pos)
-    members = lnodes_by_line(mesh)
+    if members is None:
+        members = lnodes_by_line(mesh)
     chains: list[np.ndarray] = []
     ends: list[int] = []
     writes: list[tuple[np.ndarray, np.ndarray]] = []
@@ -818,8 +815,11 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     remesh_pass(ctx, scope=scope)
 
     decompose_junctions(mesh, graph, state.alloc, state.params)
-    support = complete_temporary_nodes(transport, mesh, graph)
-    vel = node_velocities_parallel(mesh, graph, mobility, support)
+    # motion moves nodes but never relinks them: one member scan serves
+    # every velocity evaluation of this increment
+    members = lnodes_by_line(mesh)
+    support = complete_temporary_nodes(transport, mesh, graph, members)
+    vel = node_velocities_parallel(mesh, graph, mobility, support, members)
 
     speeds = np.linalg.norm(vel, axis=1)
     local_vmax = float(speeds.max()) if len(speeds) else 0.0
@@ -829,8 +829,10 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     n_sub = max(1, int(np.ceil(vmax * dt / cap))) if vmax > 0.0 else 1
     for i in range(n_sub):
         if i > 0:
-            support = complete_temporary_nodes(transport, mesh, graph)
-            vel = node_velocities_parallel(mesh, graph, mobility, support)
+            support = complete_temporary_nodes(transport, mesh, graph,
+                                               members)
+            vel = node_velocities_parallel(mesh, graph, mobility, support,
+                                           members)
         moving = mesh.alive_nodes()
         moving = moving[(vel[moving] != 0.0).any(axis=1)]
         parallel_move(transport, mesh, moving, vel[moving] * (dt / n_sub))

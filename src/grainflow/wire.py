@@ -3,7 +3,9 @@
 Protocol messages are flat concatenations of framed records: a fixed header
 (version, record type, payload length) followed by a little-endian payload.
 Records are self-contained and carry global ids verbatim, so decoding needs
-no mesh context.  Bulk numeric data (the snapshot gather) travels as framed
+no mesh context.  Identity regularization exchanges pairs and triplets,
+scattering element packets, stencil completion the support each owner
+pushes to its co-owners unasked, and the movement back-off flip notices.  Bulk numeric data (the snapshot gather) travels as framed
 arrays instead: a count, then each array in ``.npy`` format.  Either way
 floats travel as raw IEEE doubles, which keeps encode / decode round trips
 bit-exact and the whole exchange deterministic.
@@ -19,16 +21,15 @@ import numpy as np
 
 from .mesh import NULL_ID
 
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 RT_PAIR = 1
 RT_TRIPLET = 2
 RT_ELEMENT = 3
-RT_TEMP_REQUEST = 4
 RT_TEMP_REPLY = 5
 RT_FLIP = 6
 
-# temporary-node request modes
+# stencil support modes
 MODE_CHAIN = 0   # continuation of a line chain past a shared node
 MODE_ARMS = 1    # junction arm endpoints around a shared point
 
@@ -36,7 +37,6 @@ _HEADER = struct.Struct("<BBI")
 _PAIR = struct.Struct("<qq")
 _TRIPLET = struct.Struct("<qqi")
 _FLIP = struct.Struct("<q")
-_TEMP_REQ = struct.Struct("<Bqq")
 _NODE_FIXED = struct.Struct("<qddBqb")
 _ELEM_HEAD = struct.Struct("<qqI")
 _U32 = struct.Struct("<I")
@@ -94,22 +94,12 @@ class ElementPacket:
 
 
 @dataclass(frozen=True)
-class TempNodeRequest:
-    """Ask a co-owner for stencil support at a shared node.
-
-    ``MODE_CHAIN`` asks for the owner's chain samples of ``line`` on both
-    sides of ``node``; ``MODE_ARMS`` asks for the junction arm endpoints
-    around ``node``, with ``line`` unused.
-    """
-    mode: int
-    line: int
-    node: int
-
-
-@dataclass(frozen=True)
 class TempNodeReply:
-    """Samples answering one request: (id, x, y) per remote node, ordered
-    outward from the shared node for a chain, ascending by id for arms."""
+    """An owner's stencil support at a node it shares with the receiver:
+    (id, x, y) per sample node.  ``MODE_CHAIN`` carries one chain direction
+    of ``line``, ordered outward from ``node``; ``MODE_ARMS`` carries the
+    junction arm endpoints around ``node``, ascending by id, with ``line``
+    unused."""
     mode: int
     line: int
     node: int
@@ -124,7 +114,7 @@ class FlipNotice:
     node: int
 
 
-Record = Pair | Triplet | ElementPacket | TempNodeRequest | TempNodeReply | FlipNotice
+Record = Pair | Triplet | ElementPacket | TempNodeReply | FlipNotice
 
 
 def _encode_node(n: NodePayload) -> bytes:
@@ -162,8 +152,6 @@ def _payload(rec: Record) -> tuple[int, bytes]:
         for n in rec.nodes:
             out.append(_encode_node(n))
         return RT_ELEMENT, b"".join(out)
-    if isinstance(rec, TempNodeRequest):
-        return RT_TEMP_REQUEST, _TEMP_REQ.pack(rec.mode, rec.line, rec.node)
     if isinstance(rec, TempNodeReply):
         out = [struct.pack("<BqqI", rec.mode, rec.line, rec.node,
                            len(rec.samples))]
@@ -192,8 +180,6 @@ def _decode_one(rtype: int, body: bytes) -> Record:
         return Triplet(*_TRIPLET.unpack(body))
     if rtype == RT_FLIP:
         return FlipNotice(*_FLIP.unpack(body))
-    if rtype == RT_TEMP_REQUEST:
-        return TempNodeRequest(*_TEMP_REQ.unpack(body))
     if rtype == RT_TEMP_REPLY:
         mode, line, node, count = struct.unpack_from("<BqqI", body)
         off = struct.calcsize("<BqqI")

@@ -29,6 +29,8 @@ from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
 from grainflow.runner import RunConfig, run
 from grainflow.state import KIND_ELEM, KIND_NODE, RemeshParams
 from grainflow.transport import run_workers
+from grainflow.wire import (MODE_ARMS, MODE_CHAIN, TempNodeReply,
+                           encode_records)
 
 from .conftest import grid_mesh, reconstructed
 
@@ -652,6 +654,80 @@ def test_velocities_make_one_banded_solve(monkeypatch):
     assert c0 == c1 == 1
     assert k0 == [NATURAL, PERIODIC, NOT_A_KNOT]
     assert k1 == [NATURAL, NOT_A_KNOT]
+
+
+def test_stencil_support_is_one_exchange():
+    # the T-junction cut along y = 0.5 shares line nodes and the junction;
+    # every owner pushes its support unasked, in a single all-to-all
+    def worker(t):
+        st = booted(t, make_tjunction, lambda cx, cy: 0 if cy < 0.5 else 1)
+        calls = []
+        real = t.all_to_all
+
+        def counting(payloads):
+            calls.append(payloads)
+            return real(payloads)
+
+        t.all_to_all = counting
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
+        classes = {int(st.mesh.topo[n]) for n in st.mesh.shared}
+        return calls, classes, sup
+
+    (c0, k0, s0), (c1, k1, s1) = run_workers(2, worker)
+    assert k0 == k1 and {LNODE, PNODE} <= k0
+    assert len(c0) == len(c1) == 1
+    assert c0[0][1] and c1[0][0]
+    assert s0.line_sides.keys() == s1.line_sides.keys()
+    assert s0.point_arms.keys() == s1.point_arms.keys()
+    for n, arms in s0.point_arms.items():
+        assert [m for m, _ in arms] == [m for m, _ in s1.point_arms[n]]
+
+
+class PushedBy1:
+    """Rank 0 of two, whose one exchange delivers ``records`` from rank 1."""
+    rank, size = 0, 2
+
+    def __init__(self, records):
+        self.records = records
+
+    def all_to_all(self, payloads):
+        return [payloads[0], encode_records(self.records)]
+
+
+def strip_rank0():
+    """Rank 0's slice of the strip cut across its interface at y = 0.5."""
+    return run_workers(2, lambda t: booted(
+        t, make_strip, lambda cx, cy: 0 if cy < 0.5 else 1))[0]
+
+
+def test_stencil_support_accepts_a_co_owner_record():
+    st = strip_rank0()
+    lid = int(st.mesh.entity[40])
+    rec = TempNodeReply(MODE_CHAIN, lid, 40, ((49, 0.5, 0.625),))
+    sup = pr.complete_temporary_nodes(PushedBy1([rec]), st.mesh, st.graph)
+    assert [run[0][0] for run in sup.line_sides[(lid, 40)]] == [31, 49]
+
+
+@pytest.mark.parametrize("node", [31, 76])
+def test_stencil_support_from_non_sharer_raises(node):
+    # node 31 is private to rank 0, node 76 lives on rank 1 only
+    st = strip_rank0()
+    assert node not in st.mesh.shared
+    rec = TempNodeReply(MODE_CHAIN, int(st.mesh.entity[40]), node, ())
+    with pytest.raises(pr.ProtocolError, match="does not share"):
+        pr.complete_temporary_nodes(PushedBy1([rec]), st.mesh, st.graph)
+
+
+def test_stencil_support_mode_or_line_mismatch_raises():
+    st = strip_rank0()
+    assert st.mesh.is_shared(40) and st.mesh.topo[40] == LNODE
+    lid = int(st.mesh.entity[40])
+    arms = TempNodeReply(MODE_ARMS, NULL_ID, 40, ())
+    with pytest.raises(pr.ProtocolError, match="held as class"):
+        pr.complete_temporary_nodes(PushedBy1([arms]), st.mesh, st.graph)
+    other = TempNodeReply(MODE_CHAIN, lid + 100, 40, ((49, 0.5, 0.625),))
+    with pytest.raises(pr.ProtocolError, match="on line"):
+        pr.complete_temporary_nodes(PushedBy1([other]), st.mesh, st.graph)
 
 
 def test_np1_velocities_bitwise_sequential():

@@ -11,8 +11,8 @@ import pytest
 from grainflow.mesh import NULL_ID, PNODE, LNODE, SNODE, BND_TANGENT_X
 from grainflow.wire import (
     WIRE_VERSION, RT_ELEMENT, MODE_ARMS, MODE_CHAIN, WireError,
-    Pair, Triplet, NodePayload, ElementPacket, TempNodeRequest,
-    TempNodeReply, FlipNotice, encode_records, decode_records,
+    Pair, Triplet, NodePayload, ElementPacket, TempNodeReply, FlipNotice,
+    encode_records, decode_records,
     encode_arrays, decode_arrays,
 )
 
@@ -35,13 +35,16 @@ def test_pair_triplet_flip_roundtrip():
     assert roundtrip(recs) == recs
 
 
-def test_temp_request_roundtrip():
-    recs = [TempNodeRequest(MODE_CHAIN, 3, 17),
-            TempNodeRequest(MODE_CHAIN, 4, NULL_ID),
-            TempNodeRequest(MODE_ARMS, NULL_ID, 99)]
+def test_temp_reply_roundtrip():
+    recs = [TempNodeReply(MODE_CHAIN, 3, 17, ((18, 0.5, 0.25), (19, 0.75, 0.0))),
+            TempNodeReply(MODE_CHAIN, 4, NULL_ID, ()),
+            TempNodeReply(MODE_ARMS, NULL_ID, 99, ((98, 1.0, 2.0),))]
     assert roundtrip(recs) == recs
-    # header, then mode (u8), line and node (i64 each)
-    assert len(encode_records(recs[:1])) == 6 + 1 + 8 + 8
+    buf = encode_records(recs[:1])
+    assert buf[0] == WIRE_VERSION == 3
+    # header, then mode (u8), line and node (i64 each), a u32 sample count
+    # and (i64, f64, f64) per sample
+    assert len(buf) == 6 + 1 + 8 + 8 + 4 + 2 * 24
 
 
 def test_temp_reply_float_bits_survive():
