@@ -40,8 +40,7 @@ from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
 from .partitioning import restrict_mesh
-from .remesh import (BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA,
-                     RemeshCtx, remesh_pass)
+from .remesh import BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA, remesh_pass
 from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
 from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
@@ -801,9 +800,8 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     if mobility is None:
         mobility = reduced_mobility()
     mesh, graph = state.mesh, state.graph
-    ctx = RemeshCtx(mesh, graph, state.alloc, state.params)
     pre_shared = set(mesh.shared)
-    stats = remesh_pass(ctx)
+    stats = remesh_pass(state)
 
     ranking = compute_ranking(transport, mesh.n_elems())
     selections = select_elements_to_send(mesh, mesh.shared, ranking,
@@ -812,7 +810,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
 
     scope = {n for n in pre_shared | report.touched_nodes
              if mesh.alive_node(n)}
-    remesh_pass(ctx, scope=scope)
+    remesh_pass(state, scope=scope)
 
     decompose_junctions(mesh, graph, state.alloc, state.params)
     # motion moves nodes but never relinks them: one member scan serves

@@ -36,7 +36,7 @@ from .entities import (EntityGraph, KIND_LINE, is_interface_edge,
 from .mesh import (Mesh, NULL_ID, PNODE, LNODE, SNODE, BND_NONE, BND_CORNER,
                    BND_TANGENT_X, BND_TANGENT_Y, TopologyError,
                    is_domain_boundary_edge, _tri_area)
-from .state import KIND_ELEM, KIND_NODE, IdAllocator, RemeshParams
+from .state import KIND_ELEM, KIND_NODE, IdAllocator, RemeshParams, SimState
 
 MIN_AREA = 1e-12
 SQRT3_4 = 4.0 * np.sqrt(3.0)
@@ -776,14 +776,17 @@ def swap_sweep(ctx: RemeshCtx, scope: set[int] | None = None) -> int:
 
 # -- one full pass -----------------------------------------------------------
 
-def remesh_pass(ctx: RemeshCtx, scope: set[int] | None = None) -> PassStats:
+def remesh_pass(state: SimState, scope: set[int] | None = None) -> PassStats:
     """Run the maintenance operators once, in their canonical order.
 
-    With a ``scope`` only candidates touching those nodes are visited; an
-    empty scope has none, so the pass is skipped outright.
+    The running counts are taken from ``state`` at the start of the pass and
+    live only as long as it, so elements that migrated in since the last
+    pass are counted.  With a ``scope`` only candidates touching those nodes
+    are visited; an empty scope has none, so the pass is skipped outright.
     """
     if scope is not None and not scope:
         return PassStats()
+    ctx = RemeshCtx(state.mesh, state.graph, state.alloc, state.params)
     stats = collapse_sweep(ctx, scope)
     mesh = ctx.mesh
     if scope is None:

@@ -150,3 +150,12 @@ def test_m_seq_seed4_survives(tmp_path):
     # the benchmark's M problem at seed 4, kept as found: never re-seeded
     run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=9,
                   seed=4, out=str(tmp_path)))
+
+
+def test_m_par2_seed5_survives_six_increments(tmp_path):
+    # the benchmark's M problem at seed 5 on two workers, kept as found:
+    # the scoped second remesh pass read surface counts taken before the
+    # scatter and raised KeyError: 43 at increment 6
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=6,
+                  n_parts=2, output_every=5, seed=5, out=str(tmp_path)))
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 7

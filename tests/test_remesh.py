@@ -15,7 +15,7 @@ from grainflow.remesh import (RemeshCtx, settle_offsets, collapse_sweep,
                               element_qualities, glide_line, remesh_pass,
                               smooth_bulk, split_edge, split_sweep,
                               swap_sweep, try_collapse, try_swap)
-from grainflow.state import IdAllocator, RemeshParams
+from grainflow.state import IdAllocator, RemeshParams, SimState
 
 from .conftest import equilateral_mesh, grid_mesh, reconstructed
 
@@ -23,6 +23,11 @@ from .conftest import equilateral_mesh, grid_mesh, reconstructed
 def make_ctx(mesh, graph, h):
     alloc = IdAllocator.above(mesh, graph)
     return RemeshCtx(mesh, graph, alloc, RemeshParams(h=h))
+
+
+def make_state(mesh, graph, h):
+    return SimState(mesh, graph, IdAllocator.above(mesh, graph),
+                    RemeshParams(h=h))
 
 
 def assert_ctx_counts(ctx):
@@ -564,8 +569,7 @@ def test_remesh_pass_fixed_point():
     mesh, graph = reconstructed(equilateral_mesh(8, 8, 0.1))
     pos0 = mesh.pos.copy()
     tri0 = mesh.tri[mesh.alive_elems()].copy()
-    ctx = make_ctx(mesh, graph, h=0.1)
-    stats = remesh_pass(ctx)
+    stats = remesh_pass(make_state(mesh, graph, h=0.1))
     assert stats.collapsed == 0 and stats.killed == 0
     assert stats.split == 0 and stats.swapped == 0
     assert np.array_equal(tri0, mesh.tri[mesh.alive_elems()])
@@ -576,15 +580,15 @@ def test_remesh_pass_scope_restricts(strip_mesh):
     mesh, graph = reconstructed(strip_mesh)
     a, b = 30, 31
     mesh.pos[b] = mesh.pos[a] + (0.01, 0.0)
-    ctx = make_ctx(mesh, graph, h=0.125)
+    state = make_state(mesh, graph, h=0.125)
     # a scope elsewhere, or an empty one, leaves the short edge alone
-    stats = remesh_pass(ctx, scope={70, 71})
+    stats = remesh_pass(state, scope={70, 71})
     assert mesh.node_alive[a] and mesh.node_alive[b]
     pos0 = mesh.pos.copy()
-    assert remesh_pass(ctx, scope=set()).total() == 0
+    assert remesh_pass(state, scope=set()).total() == 0
     assert np.array_equal(mesh.pos, pos0)
     # scoping onto it collapses it
-    stats = collapse_sweep(ctx, scope={a, b})
+    stats = collapse_sweep(make_ctx(mesh, graph, h=0.125), scope={a, b})
     assert stats.collapsed == 1
     assert not (mesh.node_alive[a] and mesh.node_alive[b])
 
@@ -597,14 +601,14 @@ def test_remesh_pass_repairs_jiggled_mesh():
     bulk = nids[(mesh.topo[nids] == SNODE)]
     mesh.pos[bulk] += rng.uniform(-0.03, 0.03, size=(len(bulk), 2))
     assert all_positive(mesh)
-    ctx = make_ctx(mesh, graph, h=0.14)
-    remesh_pass(ctx)
+    state = make_state(mesh, graph, h=0.14)
+    remesh_pass(state)
     assert all_positive(mesh)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-9)
-    assert_ctx_counts(ctx)
+    assert set(graph.surfaces) == {int(s) for s in mesh.surf[mesh.alive_elems()]}
     edges = mesh.edge_array()
     ln = np.linalg.norm(mesh.pos[edges[:, 0]] - mesh.pos[edges[:, 1]], axis=1)
-    assert ln.max() <= ctx.params.delta_s + 1e-12
+    assert ln.max() <= state.params.delta_s + 1e-12
 
 
 def test_remesh_pass_deterministic():
@@ -615,8 +619,7 @@ def test_remesh_pass_deterministic():
         nids = mesh.alive_nodes()
         bulk = nids[mesh.topo[nids] == SNODE]
         mesh.pos[bulk] += rng.uniform(-0.04, 0.04, size=(len(bulk), 2))
-        ctx = make_ctx(mesh, graph, h=0.15)
-        remesh_pass(ctx)
+        remesh_pass(make_state(mesh, graph, h=0.15))
         return (mesh.pos[mesh.alive_nodes()].copy(),
                 mesh.tri[mesh.alive_elems()].copy())
     p1, t1 = run()
