@@ -49,6 +49,9 @@ from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
 
+# the stencil support record mode that belongs to each node class
+_SUPPORT_MODE = {LNODE: MODE_CHAIN, PNODE: MODE_ARMS}
+
 # how many chain nodes each side contributes to a shared-node stencil
 _STENCIL_DEPTH = 2
 
@@ -598,8 +601,7 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
                     f"worker {src} sent stencil support at node {n}, "
                     f"which it does not share with worker {transport.rank}")
             topo = int(mesh.topo[n])
-            if rep.mode != (MODE_CHAIN if topo == LNODE else
-                            MODE_ARMS if topo == PNODE else None):
+            if rep.mode != _SUPPORT_MODE.get(topo):
                 raise ProtocolError(
                     f"worker {src} sent mode {rep.mode} stencil support at "
                     f"node {n}, held as class {topo}")

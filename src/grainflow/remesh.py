@@ -62,7 +62,8 @@ class PassStats:
 
 
 class RemeshCtx:
-    """Mesh plus the running counts the operators keep up to date.
+    """Mesh plus the running counts the operators keep up to date during
+    one ``remesh_pass``.
 
     ``line_count`` tracks live L-nodes per line (absent means zero) and
     ``surf_count`` live elements per surface; both let the sweeps decide
