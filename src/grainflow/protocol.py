@@ -62,24 +62,22 @@ class ProtocolError(RuntimeError):
 
 # -- registry and ranking ----------------------------------------------------
 
-def detect_shared_nodes(transport: Transport, mesh: Mesh) -> dict[int, set[int]]:
-    """Rebuild the shared-node registry from global node ids.
+def detect_shared_nodes(transport: Transport, mesh: Mesh) -> None:
+    """Rebuild the shared-node registry ``mesh.shared`` from global node ids.
 
     Each worker publishes its live ids; intersection with every other
-    worker's set yields the co-owner lists.  The result is symmetric by
-    construction and is also written into ``mesh.shared``.
+    worker's set yields the co-owner lists.  The registry is symmetric by
+    construction.
     """
     mine = mesh.alive_nodes().astype(np.int64)
     blobs = transport.all_gather(mine.tobytes())
-    registry: dict[int, set[int]] = {}
+    mesh.shared = {}
     for src, blob in enumerate(blobs):
         if src == transport.rank:
             continue
         theirs = np.frombuffer(blob, dtype=np.int64)
         for n in np.intersect1d(mine, theirs, assume_unique=True):
-            registry.setdefault(int(n), set()).add(src)
-    mesh.shared = {n: set(r) for n, r in registry.items()}
-    return registry
+            mesh.shared.setdefault(int(n), set()).add(src)
 
 
 def compute_ranking(transport: Transport, n_local_elems: int) -> np.ndarray:
@@ -539,8 +537,7 @@ def _wire_samples(run):
 
 def complete_temporary_nodes(transport: Transport, mesh: Mesh,
                              graph: EntityGraph,
-                             members: dict[int, list[int]] | None = None
-                             ) -> StencilSupport:
+                             members: dict[int, list[int]]) -> StencilSupport:
     """Exchange the remote stencil support of every shared node.
 
     Each owner sends every co-owner, unasked, what it holds at each node
@@ -552,10 +549,8 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
     and the longest run per key wins.  A record for a node its sender does
     not share with this worker, or that disagrees with the local node class
     or line, raises ``ProtocolError``.  ``members`` is
-    ``lnodes_by_line(mesh)``, scanned here when not given.
+    ``lnodes_by_line(mesh)``.
     """
-    if members is None:
-        members = lnodes_by_line(mesh)
     registry = mesh.shared
     support = StencilSupport()
     best: dict[tuple[int, int], dict[int, list]] = {}
@@ -641,8 +636,7 @@ def _check_prefix(short, long, nid):
 
 def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
                              support: StencilSupport,
-                             members: dict[int, list[int]] | None = None
-                             ) -> np.ndarray:
+                             members: dict[int, list[int]]) -> np.ndarray:
     """Curvature velocity for every line and junction node, walls applied.
 
     Every spline of the evaluation goes into one batched solve: open
@@ -653,11 +647,9 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
     fitting, shared line nodes take the value of their canonical five-point
     window, and shared junctions use the merged global arm set, so all
     owners produce bit-identical values.  ``members`` is
-    ``lnodes_by_line(mesh)``, scanned here when not given.
+    ``lnodes_by_line(mesh)``.
     """
     vel = np.zeros_like(mesh.pos)
-    if members is None:
-        members = lnodes_by_line(mesh)
     chains: list[np.ndarray] = []
     ends: list[int] = []
     writes: list[tuple[np.ndarray, np.ndarray]] = []

@@ -5,10 +5,11 @@ Protocol messages are flat concatenations of framed records: a fixed header
 Records are self-contained and carry global ids verbatim, so decoding needs
 no mesh context.  Identity regularization exchanges pairs and triplets,
 scattering element packets, stencil completion the support each owner
-pushes to its co-owners unasked, and the movement back-off flip notices.  Bulk numeric data (the snapshot gather) travels as framed
-arrays instead: a count, then each array in ``.npy`` format.  Either way
-floats travel as raw IEEE doubles, which keeps encode / decode round trips
-bit-exact and the whole exchange deterministic.
+pushes to its co-owners unasked, and the movement back-off flip notices.
+Bulk numeric data (the snapshot gather) travels as framed arrays instead:
+a count, then each array in ``.npy`` format.  Either way floats travel as
+raw IEEE doubles, which keeps encode / decode round trips bit-exact and
+the whole exchange deterministic.
 """
 
 from __future__ import annotations

@@ -32,8 +32,10 @@ def total_area(mesh):
 
 
 def velocities(mesh, graph, mobility):
+    members = lnodes_by_line(mesh)
     return one_rank(lambda t: node_velocities_parallel(
-        mesh, graph, mobility, complete_temporary_nodes(t, mesh, graph)))
+        mesh, graph, mobility,
+        complete_temporary_nodes(t, mesh, graph, members), members))
 
 
 def increment(state, dt, mobility=None):

@@ -563,7 +563,8 @@ def unsplit_velocities(make_mesh, mob):
     """Velocities of the whole mesh in one piece: nothing shared, no
     remote stencil samples."""
     full, graph = reconstructed(make_mesh())
-    return pr.node_velocities_parallel(full, graph, mob, pr.StencilSupport())
+    return pr.node_velocities_parallel(full, graph, mob, pr.StencilSupport(),
+                                       lnodes_by_line(full))
 
 
 def test_velocities_agree_across_owners_and_with_sequential():
@@ -572,8 +573,9 @@ def test_velocities_agree_across_owners_and_with_sequential():
 
     def worker(t):
         st = booted(t, make_tjunction, x_split)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup)
+        members = lnodes_by_line(st.mesh)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
         return (sorted(int(n) for n in st.mesh.alive_nodes()),
                 set(st.mesh.shared),
                 {int(n): vel[n].copy() for n in st.mesh.alive_nodes()})
@@ -600,8 +602,9 @@ def test_velocities_cut_across_interface():
 
     def worker(t):
         st = booted(t, make_strip, y_split)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup)
+        members = lnodes_by_line(st.mesh)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
         sides = {n: sorted(r[0][0] for r in sup.line_sides.get(
             (int(st.mesh.entity[n]), n), [])) for n in st.mesh.shared
             if st.mesh.topo[n] == LNODE}
@@ -644,10 +647,12 @@ def test_velocities_make_one_banded_solve(monkeypatch):
 
     def worker(t):
         st = booted(t, lambda: grid_mesh(8, 8, tag_fn=tag), y_split)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
+        members = lnodes_by_line(st.mesh)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
         key = threading.get_ident()
         calls.pop(key, None)
-        pr.node_velocities_parallel(st.mesh, st.graph, reduced_mobility(), sup)
+        pr.node_velocities_parallel(st.mesh, st.graph, reduced_mobility(), sup,
+                                    members)
         return calls.get(key, 0), kinds[key]
 
     (c0, k0), (c1, k1) = run_workers(2, worker)
@@ -669,7 +674,8 @@ def test_stencil_support_is_one_exchange():
             return real(payloads)
 
         t.all_to_all = counting
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
+        members = lnodes_by_line(st.mesh)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
         classes = {int(st.mesh.topo[n]) for n in st.mesh.shared}
         return calls, classes, sup
 
@@ -694,6 +700,12 @@ class PushedBy1:
         return [payloads[0], encode_records(self.records)]
 
 
+def pushed_by_1(st, records):
+    """Stencil support on rank 0 after rank 1 pushed ``records``."""
+    return pr.complete_temporary_nodes(PushedBy1(records), st.mesh, st.graph,
+                                       lnodes_by_line(st.mesh))
+
+
 def strip_rank0():
     """Rank 0's slice of the strip cut across its interface at y = 0.5."""
     return run_workers(2, lambda t: booted(
@@ -704,7 +716,7 @@ def test_stencil_support_accepts_a_co_owner_record():
     st = strip_rank0()
     lid = int(st.mesh.entity[40])
     rec = TempNodeReply(MODE_CHAIN, lid, 40, ((49, 0.5, 0.625),))
-    sup = pr.complete_temporary_nodes(PushedBy1([rec]), st.mesh, st.graph)
+    sup = pushed_by_1(st, [rec])
     assert [run[0][0] for run in sup.line_sides[(lid, 40)]] == [31, 49]
 
 
@@ -715,7 +727,7 @@ def test_stencil_support_from_non_sharer_raises(node):
     assert node not in st.mesh.shared
     rec = TempNodeReply(MODE_CHAIN, int(st.mesh.entity[40]), node, ())
     with pytest.raises(pr.ProtocolError, match="does not share"):
-        pr.complete_temporary_nodes(PushedBy1([rec]), st.mesh, st.graph)
+        pushed_by_1(st, [rec])
 
 
 def test_stencil_support_mode_or_line_mismatch_raises():
@@ -724,10 +736,10 @@ def test_stencil_support_mode_or_line_mismatch_raises():
     lid = int(st.mesh.entity[40])
     arms = TempNodeReply(MODE_ARMS, NULL_ID, 40, ())
     with pytest.raises(pr.ProtocolError, match="held as class"):
-        pr.complete_temporary_nodes(PushedBy1([arms]), st.mesh, st.graph)
+        pushed_by_1(st, [arms])
     other = TempNodeReply(MODE_CHAIN, lid + 100, 40, ((49, 0.5, 0.625),))
     with pytest.raises(pr.ProtocolError, match="on line"):
-        pr.complete_temporary_nodes(PushedBy1([other]), st.mesh, st.graph)
+        pushed_by_1(st, [other])
 
 
 def test_np1_velocities_bitwise_sequential():
@@ -736,8 +748,9 @@ def test_np1_velocities_bitwise_sequential():
 
     def worker(t):
         st = booted(t, make_tjunction, lambda cx, cy: 0)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup)
+        members = lnodes_by_line(st.mesh)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
         return vel
 
     (vel,) = run_workers(1, worker)

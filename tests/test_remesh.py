@@ -593,7 +593,15 @@ def test_remesh_pass_scope_restricts(strip_mesh):
     assert not (mesh.node_alive[a] and mesh.node_alive[b])
 
 
-def test_remesh_pass_repairs_jiggled_mesh():
+def test_remesh_pass_repairs_jiggled_mesh(monkeypatch):
+    made = []
+
+    class RecordingCtx(RemeshCtx):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr("grainflow.remesh.RemeshCtx", RecordingCtx)
     rng = np.random.default_rng(7)
     mesh, graph = reconstructed(
         grid_mesh(8, 8, tag_fn=lambda cx, cy: 0 if cx < 0.5 else 1))
@@ -603,6 +611,8 @@ def test_remesh_pass_repairs_jiggled_mesh():
     assert all_positive(mesh)
     state = make_state(mesh, graph, h=0.14)
     remesh_pass(state)
+    assert len(made) == 1
+    assert_ctx_counts(made[0])
     assert all_positive(mesh)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-9)
     assert set(graph.surfaces) == {int(s) for s in mesh.surf[mesh.alive_elems()]}
