@@ -247,7 +247,8 @@ def decode_arrays(buf: bytes) -> list[np.ndarray]:
     f.seek(_U32.size)
     try:
         arrays = [np.load(f, allow_pickle=False) for _ in range(count)]
-    except (ValueError, EOFError) as exc:
+    except Exception as exc:
+        # numpy's header parser raises whatever its tokenizer meets
         raise WireError(f"malformed array frame: {exc}") from exc
     if f.tell() != len(buf):
         raise WireError("trailing bytes after the last array")

@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grainflow.mesh import NULL_ID, PNODE, LNODE, SNODE, BND_TANGENT_X
 from grainflow.wire import (
@@ -169,3 +170,16 @@ def test_arrays_pickled_rejected():
     for payload in (obj.getvalue(), pickle.dumps([1, 2, 3])):
         with pytest.raises(WireError):
             decode_arrays(count + payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_array_frame_decodes_or_raises_wire_error(data):
+    buf = bytearray(encode_arrays(ARRAYS[:2]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(buf) - 1))
+        buf[i] = data.draw(st.integers(0, 255))
+    try:
+        decode_arrays(bytes(buf))
+    except WireError:
+        pass
