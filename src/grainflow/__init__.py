@@ -17,7 +17,7 @@ Core modules:
     motion        mobility, wall constraints, junction decomposition
     tessellation  weighted-Voronoi microstructure generation and meshing
     state         per-worker state: mesh, entities, the one id allocator
-    wire          framed binary records and arrays for worker exchange
+    wire          frames of typed arrays, the one format workers exchange
     transport     collective message transport (in-process and MPI)
     partitioning  dual-graph element partitioning
     protocol      the increment: ranking, scattering, shared nodes, motion

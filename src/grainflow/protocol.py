@@ -19,8 +19,9 @@ here keep the partitions telling one consistent story:
   shared nodes land on exactly the same coordinates everywhere.
 
 Determinism is load-bearing throughout: iteration follows sorted ids,
-payloads are framed records over raw doubles, and every decision that
-touches a shared node is made from data all owners possess.
+every payload is one ``wire`` frame of typed arrays over raw doubles, and
+every decision that touches a shared node is made from data all owners
+possess.
 """
 
 from __future__ import annotations
@@ -43,9 +44,8 @@ from .partitioning import restrict_mesh
 from .remesh import BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA, remesh_pass
 from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
-from .wire import (MODE_ARMS, MODE_CHAIN, ElementPacket, FlipNotice,
-                   NodePayload, Pair, TempNodeReply, Triplet,
-                   decode_records, encode_records)
+from .wire import (FLIPS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SUPPORT,
+                   TRIPLETS, decode_arrays, encode_arrays)
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
 
@@ -114,7 +114,7 @@ def regularize_identities(transport: Transport, mesh: Mesh,
 
 def _regularize_kind(transport, mesh, graph, registry, kind):
     cls = _KIND_CLASS[kind]
-    outbox: list[list[Pair]] = [[] for _ in range(transport.size)]
+    outbox: list[list[tuple[int, int]]] = [[] for _ in range(transport.size)]
     for n in sorted(registry):
         if int(mesh.topo[n]) != cls:
             continue
@@ -122,22 +122,23 @@ def _regularize_kind(transport, mesh, graph, registry, kind):
         if ident == NULL_ID:
             raise TopologyError(f"shared node {n} carries no entity identity")
         for j in sorted(registry[n]):
-            outbox[j].append(Pair(n, ident))
+            outbox[j].append((n, ident))
 
-    received = transport.all_to_all([encode_records(o) for o in outbox])
-    trips: list[Triplet] = []
+    received = transport.all_to_all([encode_arrays([o], PAIRS)
+                                     for o in outbox])
+    trips: list[tuple[int, int, int]] = []
     for src, blob in enumerate(received):
-        for pair in decode_records(blob):
-            n = pair.node
+        (pairs,) = decode_arrays(blob, PAIRS)
+        for n, ident in pairs.tolist():
             if not mesh.alive_node(n) or int(mesh.topo[n]) != cls:
                 raise TopologyError(
                     f"worker {src} sees node {n} as a different class")
-            trips.append(Triplet(int(mesh.entity[n]), pair.identity, src))
+            trips.append((int(mesh.entity[n]), ident, src))
 
-    gathered = transport.all_gather(encode_records(trips))
-    universe: list[Triplet] = []
+    gathered = transport.all_gather(encode_arrays([trips], TRIPLETS))
+    universe: list[tuple[int, int, int]] = []
     for blob in gathered:
-        universe.extend(decode_records(blob))
+        universe.extend(map(tuple, decode_arrays(blob, TRIPLETS)[0].tolist()))
 
     treated = [False] * len(universe)
     mapping: dict[int, int] = {}
@@ -148,8 +149,8 @@ def _regularize_kind(transport, mesh, graph, registry, kind):
         if not treated[start]:
             # a consistent exchange always contains the mirror triplet
             raise ProtocolError(
-                f"unmatched identity triplet {universe[start]}; "
-                "the exchange is corrupt")
+                "unmatched identity triplet (local, remote, part) "
+                f"{universe[start]}; the exchange is corrupt")
         lowest = min(ident for ident, _part in same)
         for ident, part in same:
             if part == transport.rank and ident != lowest:
@@ -162,17 +163,18 @@ def _regularize_kind(transport, mesh, graph, registry, kind):
 def _chase_group(universe, treated, start):
     """Depth-first closure over identity coincidences.
 
-    Follows each triplet's remote identity through the whole gathered list;
-    every matched triplet contributes (remote identity, the part using it)."""
+    Follows each (local, remote, part) triplet's remote identity through
+    the whole gathered list; every matched triplet contributes (remote
+    identity, the part using it)."""
     same: list[tuple[int, int]] = []
     stack = [universe[start]]
     while stack:
-        want = stack.pop().remote_id
-        for i, u in enumerate(universe):
-            if not treated[i] and u.local_id == want:
+        want = stack.pop()[1]
+        for i, (local, remote, part) in enumerate(universe):
+            if not treated[i] and local == want:
                 treated[i] = True
-                same.append((u.remote_id, u.part))
-                stack.append(u)
+                same.append((remote, part))
+                stack.append(universe[i])
     return same
 
 
@@ -228,7 +230,7 @@ def _filter_ranked(mesh, registry, ranking, sends):
     return out
 
 
-# -- element packets ---------------------------------------------------------
+# -- migration frames --------------------------------------------------------
 
 def _point_connections(mesh, graph, nid):
     """Wire form of a junction's line connections: (line, anchor) pairs,
@@ -255,27 +257,43 @@ def _point_connections(mesh, graph, nid):
                     anchor = m
                     break
         out.append((lid, anchor))
-    return tuple(out)
+    return out
 
 
-def _node_payload(mesh, graph, nid):
-    nid = int(nid)
-    topo = int(mesh.topo[nid])
-    payload = dict(node=nid, x=float(mesh.pos[nid, 0]), y=float(mesh.pos[nid, 1]),
-                   topo=topo, entity=int(mesh.entity[nid]), bnd=int(mesh.bnd[nid]))
-    if topo == LNODE:
-        payload.update(prv=int(mesh.prv[nid]), nxt=int(mesh.nxt[nid]),
-                       line=int(mesh.entity[nid]))
-    elif topo == PNODE:
-        payload.update(connections=_point_connections(mesh, graph, nid))
-    return NodePayload(**payload)
+def _migration_frame(mesh, graph, elems) -> bytes:
+    """One destination's ``MIGRATION`` frame: the elements, each of their
+    nodes once with its geometry, class, entity, boundary kind and (for an
+    L-node) chain links, and the line connections of their junctions.  Co-
+    owner ranks do not travel: the receiver rebuilds its shared-node
+    registry after every scatter."""
+    eids = np.asarray(elems, dtype=np.int64)
+    tri = mesh.tri[eids]
+    nids = np.unique(tri)
+    topo = mesh.topo[nids]
+    lnode = topo == LNODE
+    nodes = np.column_stack([
+        nids, topo, mesh.entity[nids], mesh.bnd[nids],
+        np.where(lnode, mesh.prv[nids], NULL_ID),
+        np.where(lnode, mesh.nxt[nids], NULL_ID)])
+    conns = [(n, lid, anchor) for n in nids[topo == PNODE].tolist()
+             for lid, anchor in _point_connections(mesh, graph, n)]
+    return encode_arrays([np.column_stack([eids, mesh.surf[eids], tri]),
+                          nodes, mesh.pos[nids], conns], MIGRATION)
 
 
-def _element_packet(mesh, graph, eid):
-    eid = int(eid)
-    return ElementPacket(eid, int(mesh.surf[eid]),
-                         tuple(_node_payload(mesh, graph, n)
-                               for n in mesh.tri[eid]))
+def _read_migration(blob, src):
+    """A ``MIGRATION`` frame as element rows (id, surf, a, b, c) and a
+    map from node id to (topo, entity, bnd, prv, nxt, x, y, connections)."""
+    elems, rows, xy, conn_rows = decode_arrays(blob, MIGRATION)
+    if len(xy) != len(rows):
+        raise ProtocolError(f"worker {src} sent {len(rows)} migrating nodes "
+                            f"with {len(xy)} positions")
+    conns: dict[int, list[tuple[int, int]]] = {}
+    for n, lid, anchor in conn_rows.tolist():
+        conns.setdefault(n, []).append((lid, anchor))
+    nodes = {row[0]: (*row[1:], *p, conns.get(row[0], ()))
+             for row, p in zip(rows.tolist(), xy.tolist())}
+    return elems.tolist(), nodes
 
 
 # -- scattering --------------------------------------------------------------
@@ -292,7 +310,9 @@ def scatter_mesh(transport: Transport, state: SimState,
                  selections: dict[int, list[int]]) -> ScatterReport:
     """Exchange the selected elements and restore a consistent partition.
 
-    Receivers instantiate unknown nodes once, splice line chains through the
+    Each destination gets one ``MIGRATION`` frame in which every node of
+    its elements travels once; a corner missing from the frame raises
+    ``ProtocolError``.  Receivers instantiate unknown nodes once, splice line chains through the
     carried prev/next ids (absent references stay null), and connect
     junction arms they can resolve locally.  Senders then drop what they
     handed over, cutting chains where a node leaves.  Ends by rebuilding the
@@ -304,59 +324,62 @@ def scatter_mesh(transport: Transport, state: SimState,
         elems = selections.get(j, [])
         if elems and j == transport.rank:
             raise ProtocolError("selection routed elements to their owner")
-        payloads.append(encode_records(
-            [_element_packet(mesh, graph, e) for e in elems]))
+        payloads.append(_migration_frame(mesh, graph, elems))
     blobs = transport.all_to_all(payloads)
 
-    packets: list[ElementPacket] = []
-    for src, blob in enumerate(blobs):
-        if src == transport.rank:
-            continue
-        packets.extend(decode_records(blob))
-
+    frames = [_read_migration(blob, src) for src, blob in enumerate(blobs)
+              if src != transport.rank]
     report = ScatterReport(sent={j: list(v) for j, v in selections.items() if v})
-    if packets:
-        _apply_packets(mesh, graph, packets, report)
+    _apply_frames(mesh, graph, frames, report)
     if any(selections.values()):
         _prune_sent(mesh, graph, selections, report)
-    if packets or any(selections.values()):
+    if report.received or any(selections.values()):
         _sweep_graph(mesh, graph)
     detect_shared_nodes(transport, mesh)
     return report
 
 
-def _apply_packets(mesh, graph, packets, report):
-    for pk in packets:
-        for np_ in pk.nodes:
-            n = np_.node
-            if mesh.alive_node(n):
-                if int(mesh.topo[n]) != np_.topo:
+def _apply_frames(mesh, graph, frames, report):
+    # each sender's nodes as (id, row), in the order its elements name them
+    arrivals = []
+    for elems, nodes in frames:
+        seen: set[int] = set()
+        for eid, surf, *corners in elems:
+            for n in corners:
+                node = nodes.get(n)
+                if node is None:
                     raise ProtocolError(
-                        f"node {n} arrived as class {np_.topo}, "
-                        f"held as {int(mesh.topo[n])}")
-                continue
-            mesh.add_node(n, (np_.x, np_.y), topo=np_.topo,
-                          entity=np_.entity, bnd=np_.bnd)
-            report.touched_nodes.add(n)
-        graph.surfaces.setdefault(pk.surf, Surface(pk.surf))
-        mesh.add_element(pk.elem, tuple(p.node for p in pk.nodes), pk.surf)
-        report.received.append(pk.elem)
-        report.touched_nodes.update(p.node for p in pk.nodes)
+                        f"element {eid} arrived without its corner {n}")
+                if n not in seen:
+                    seen.add(n)
+                    arrivals.append((n, node))
+                topo, entity, bnd, _, _, x, y, _ = node
+                if mesh.alive_node(n):
+                    if int(mesh.topo[n]) != topo:
+                        raise ProtocolError(
+                            f"node {n} arrived as class {topo}, "
+                            f"held as {int(mesh.topo[n])}")
+                    continue
+                mesh.add_node(n, (x, y), topo=topo, entity=entity, bnd=bnd)
+                report.touched_nodes.add(n)
+            graph.surfaces.setdefault(surf, Surface(surf))
+            mesh.add_element(eid, tuple(corners), surf)
+            report.received.append(eid)
+            report.touched_nodes.update(corners)
 
     # chain links after all nodes exist, so presence checks see the union
     links: dict[int, dict[str, set[int]]] = {}
-    for pk in packets:
-        for np_ in pk.nodes:
-            if np_.topo != LNODE:
-                continue
-            if np_.line == NULL_ID:
-                raise ProtocolError(f"L-node {np_.node} arrived without a line")
-            graph.lines.setdefault(np_.line, Line(np_.line))
-            slot = links.setdefault(np_.node, {"prv": set(), "nxt": set()})
-            if np_.prv != NULL_ID:
-                slot["prv"].add(np_.prv)
-            if np_.nxt != NULL_ID:
-                slot["nxt"].add(np_.nxt)
+    for n, (topo, line, _, prv, nxt, _, _, _) in arrivals:
+        if topo != LNODE:
+            continue
+        if line == NULL_ID:
+            raise ProtocolError(f"L-node {n} arrived without a line")
+        graph.lines.setdefault(line, Line(line))
+        slot = links.setdefault(n, {"prv": set(), "nxt": set()})
+        if prv != NULL_ID:
+            slot["prv"].add(prv)
+        if nxt != NULL_ID:
+            slot["nxt"].add(nxt)
     for n in sorted(links):
         for attr, vals in links[n].items():
             if len(vals) > 1:
@@ -365,10 +388,9 @@ def _apply_packets(mesh, graph, packets, report):
             if vals:
                 _splice_link(mesh, n, attr, vals.pop())
 
-    for pk in packets:
-        for np_ in pk.nodes:
-            if np_.topo == PNODE:
-                _apply_point(mesh, graph, np_)
+    for n, (topo, pid, _, _, _, _, _, conns) in arrivals:
+        if topo == PNODE:
+            _apply_point(mesh, graph, n, pid, conns)
 
 
 def _splice_link(mesh, n, attr, target):
@@ -398,15 +420,14 @@ def _splice_link(mesh, n, attr, target):
                 f"{cur_back}")
 
 
-def _apply_point(mesh, graph, np_):
-    pid = np_.entity
+def _apply_point(mesh, graph, nid, pid, conns):
     pt = graph.points.get(pid)
     if pt is None:
-        pt = graph.points[pid] = Point(pid, np_.node)
-    elif pt.node != np_.node:
+        pt = graph.points[pid] = Point(pid, nid)
+    elif pt.node != nid:
         raise ProtocolError(
-            f"point {pid} anchored at node {pt.node}, packet says {np_.node}")
-    for lid, anchor in np_.connections:
+            f"point {pid} anchored at node {pt.node}, packet says {nid}")
+    for lid, anchor in conns:
         if lid == NULL_ID:
             raise ProtocolError(f"point {pid} connection without a line")
         if anchor != NULL_ID and mesh.alive_node(anchor):
@@ -531,10 +552,6 @@ def _local_sides(mesh, lid, nid):
     return sides
 
 
-def _wire_samples(run):
-    return tuple((m, float(p[0]), float(p[1])) for m, p in run)
-
-
 def complete_temporary_nodes(transport: Transport, mesh: Mesh,
                              graph: EntityGraph,
                              members: dict[int, list[int]]) -> StencilSupport:
@@ -546,10 +563,11 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
     ascending.  The shared-node registry is symmetric, so one exchange hands
     every owner the support of all its co-owners, and all owners assemble
     the same merged picture, because every run is keyed by its first node
-    and the longest run per key wins.  A record for a node its sender does
-    not share with this worker, or that disagrees with the local node class
-    or line, raises ``ProtocolError``.  ``members`` is
-    ``lnodes_by_line(mesh)``.
+    and the longest run per key wins.  Each co-owner's records travel as
+    one ``SUPPORT`` frame.  A frame whose sample counts do not match the
+    samples it carries, or a record for a node its sender does not share
+    with this worker or that disagrees with the local node class or line,
+    raises ``ProtocolError``.  ``members`` is ``lnodes_by_line(mesh)``.
     """
     registry = mesh.shared
     support = StencilSupport()
@@ -568,7 +586,8 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
         else:
             _check_prefix(run, old, nid)
 
-    outbox: list[list[TempNodeReply]] = [[] for _ in range(transport.size)]
+    # per co-owner: record heads, sample ids, sample positions
+    outbox = [([], [], []) for _ in range(transport.size)]
     for n in sorted(registry):
         topo = int(mesh.topo[n])
         if topo == LNODE:
@@ -576,37 +595,48 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
             runs = _local_sides(mesh, lid, n)
             for run in runs:
                 offer(lid, n, run)
-            records = [TempNodeReply(MODE_CHAIN, lid, n, _wire_samples(run))
-                       for run in runs]
+            records = [(MODE_CHAIN, lid, run) for run in runs]
         elif topo == PNODE:
             arms = _junction_arms_shared(mesh, graph, members, n)
             support.point_arms[n] = {m: p.copy() for m, p in arms}
-            records = [TempNodeReply(MODE_ARMS, NULL_ID, n, _wire_samples(arms))]
+            records = [(MODE_ARMS, NULL_ID, arms)]
         else:
             continue
         for j in sorted(registry[n]):
-            outbox[j].extend(records)
+            heads, ids, xy = outbox[j]
+            for mode, lid, run in records:
+                heads.append((mode, lid, n, len(run)))
+                ids.extend(m for m, _ in run)
+                xy.extend(p for _, p in run)
 
-    blobs = transport.all_to_all([encode_records(o) for o in outbox])
+    blobs = transport.all_to_all([encode_arrays(o, SUPPORT) for o in outbox])
     for src, blob in enumerate(blobs):
-        for rep in decode_records(blob):
-            n = rep.node
+        heads, ids, xy = decode_arrays(blob, SUPPORT)
+        counts = heads[:, 3]
+        if (counts < 0).any() or counts.sum() != len(ids) \
+                or len(ids) != len(xy):
+            raise ProtocolError(
+                f"worker {src} declared {int(counts.sum())} stencil samples "
+                f"and sent {len(ids)} ids with {len(xy)} positions")
+        ends = np.cumsum(counts).tolist()
+        ids = ids.tolist()
+        for (mode, lid, n, count), end in zip(heads.tolist(), ends):
             if src not in registry.get(n, ()):
                 raise ProtocolError(
                     f"worker {src} sent stencil support at node {n}, "
                     f"which it does not share with worker {transport.rank}")
             topo = int(mesh.topo[n])
-            if rep.mode != _SUPPORT_MODE.get(topo):
+            if mode != _SUPPORT_MODE.get(topo):
                 raise ProtocolError(
-                    f"worker {src} sent mode {rep.mode} stencil support at "
+                    f"worker {src} sent mode {mode} stencil support at "
                     f"node {n}, held as class {topo}")
-            samples = [(m, np.array([x, y])) for m, x, y in rep.samples]
-            if rep.mode == MODE_CHAIN:
-                if rep.line != int(mesh.entity[n]):
+            samples = [(ids[k], xy[k]) for k in range(end - count, end)]
+            if mode == MODE_CHAIN:
+                if lid != int(mesh.entity[n]):
                     raise ProtocolError(
-                        f"worker {src} puts node {n} on line {rep.line}, "
+                        f"worker {src} puts node {n} on line {lid}, "
                         f"held on {int(mesh.entity[n])}")
-                offer(rep.line, n, samples)
+                offer(lid, n, samples)
             else:
                 merged = support.point_arms[n]
                 for m, p in samples:
@@ -747,20 +777,19 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
         bad = eids[areas <= MIN_AREA]
         idx = lookup[mesh.tri[bad]] if len(bad) else np.zeros(0, dtype=np.int64)
         idx = np.unique(idx[idx >= 0])
-        notices = [FlipNotice(int(n)) for n in nodes[idx]
-                   if mesh.is_shared(int(n))]
+        notices = [n for n in nodes[idx].tolist() if mesh.is_shared(n)]
         if len(bad) and len(notices) < len(bad) + len(idx):
             # private flips (or flips with no moving node) still force a round
-            notices.append(FlipNotice(NULL_ID))
-        gathered = transport.all_gather(encode_records(notices))
-        lists = [decode_records(b) for b in gathered]
+            notices.append(NULL_ID)
+        gathered = transport.all_gather(encode_arrays([notices], FLIPS))
+        lists = [decode_arrays(b, FLIPS)[0].tolist() for b in gathered]
         if all(len(l) == 0 for l in lists):
             break
         damp = set(int(i) for i in idx)
         for l in lists:
-            for fn in l:
-                if fn.node != NULL_ID and 0 <= fn.node < len(lookup):
-                    j = int(lookup[fn.node])
+            for n in l:
+                if n != NULL_ID and 0 <= n < len(lookup):
+                    j = int(lookup[n])
                     if j >= 0:
                         damp.add(j)
         if damp:

@@ -5,9 +5,9 @@ increments and emits stats.csv, timings.csv plus VTK snapshots and grain
 size histograms at the configured cadence.  Every run goes through the same
 worker body, a sequential run being the one-worker case: all workers
 execute it in lockstep and rank 0 alone touches the disk.  Each output step
-is one all-gather of framed arrays (``wire.encode_arrays``): every worker's
-per-grain areas and element count, plus its live mesh arrays when a
-snapshot is due.  Rank 0 merges them and writes the files straight from the
+is one all-gather of a ``wire`` frame: every worker's per-grain areas and
+element count (layout ``AREAS``), plus its live mesh arrays when a
+snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files straight from the
 arrays.
 """
 
@@ -28,7 +28,7 @@ from .stats import (StatsRecord, erom, grain_size_histogram,
                     write_hist_csv, write_stats_csv, write_timings_csv)
 from .tessellation import tessellate
 from .transport import MpiTransport, Transport, run_workers
-from .wire import decode_arrays, encode_arrays
+from .wire import AREAS, SNAPSHOT, decode_arrays, encode_arrays
 
 BACKENDS = ("inproc", "mpi")
 
@@ -160,14 +160,15 @@ def _run_worker(transport: Transport, cfg: RunConfig) -> None:
 
     def snapshot(inc: int, wall: float) -> None:
         due = _due(cfg, inc)
-        mine = [*surface_areas(mesh), np.int64(mesh.n_elems())]
+        layout = SNAPSHOT if due else AREAS
+        mine = [*surface_areas(mesh), [mesh.n_elems()]]
         if due:
             mine += mesh.live_arrays()
-        gathered = transport.all_gather(encode_arrays(mine))
+        gathered = transport.all_gather(encode_arrays(mine, layout))
         if emit is not None:
-            pieces = [decode_arrays(b) for b in gathered]
+            pieces = [decode_arrays(b, layout) for b in gathered]
             _, areas = merge_areas([p[:2] for p in pieces])
-            counts = [int(p[2]) for p in pieces]
+            counts = [int(p[2][0]) for p in pieces]
             merged = (tuple(np.concatenate(c)
                             for c in zip(*(p[3:] for p in pieces)))
                       if due else None)

@@ -1,255 +1,101 @@
-"""Binary formats exchanged between partitions.
+"""The one binary format exchanged between partitions.
 
-Protocol messages are flat concatenations of framed records: a fixed header
-(version, record type, payload length) followed by a little-endian payload.
-Records are self-contained and carry global ids verbatim, so decoding needs
-no mesh context.  Identity regularization exchanges pairs and triplets,
-scattering element packets, stencil completion the support each owner
-pushes to its co-owners unasked, and the movement back-off flip notices.
-Bulk numeric data (the snapshot gather) travels as framed arrays instead:
-a count, then each array in ``.npy`` format.  Either way floats travel as
-raw IEEE doubles, which keeps encode / decode round trips bit-exact and
-the whole exchange deterministic.
+Every message is a frame of typed arrays: a header (wire version, array
+count), then each array in ``.npy`` format.  A layout declares, once and
+here, the dtype and column count of each array of one kind of message
+(``None`` for a flat array); ``decode_arrays`` checks a frame against its
+layout before it reads any data.  Arrays carry global ids verbatim, so
+decoding needs no mesh context, and floats travel as raw little-endian
+IEEE doubles, which keeps round trips bit-exact and every exchange
+deterministic.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import NULL_ID
-
-WIRE_VERSION = 3
-
-RT_PAIR = 1
-RT_TRIPLET = 2
-RT_ELEMENT = 3
-RT_TEMP_REPLY = 5
-RT_FLIP = 6
+WIRE_VERSION = 4
 
 # stencil support modes
 MODE_CHAIN = 0   # continuation of a line chain past a shared node
 MODE_ARMS = 1    # junction arm endpoints around a shared point
 
-_HEADER = struct.Struct("<BBI")
-_PAIR = struct.Struct("<qq")
-_TRIPLET = struct.Struct("<qqi")
-_FLIP = struct.Struct("<q")
-_NODE_FIXED = struct.Struct("<qddBqb")
-_ELEM_HEAD = struct.Struct("<qqI")
-_U32 = struct.Struct("<I")
-_I64_PAIR = struct.Struct("<qq")
-_I64_3 = struct.Struct("<qqq")
-_SAMPLE = struct.Struct("<qdd")
+_HEADER = struct.Struct("<II")
+_I64 = np.dtype("<i8")
+_F64 = np.dtype("<f8")
+
+# identity regularization: (node, identity), then (local, remote, part)
+PAIRS = ((_I64, 2),)
+TRIPLETS = ((_I64, 3),)
+# movement back-off: node ids; NULL_ID marks flips only the sender has
+FLIPS = ((_I64, None),)
+# stencil support: one head (mode, line, node, n_samples) per record, then
+# all sample ids and all sample positions back to back
+SUPPORT = ((_I64, 4), (_I64, None), (_F64, 2))
+# migration: elements (id, surf, a, b, c); each of their nodes once,
+# ascending, as (id, topo, entity, bnd, prv, nxt) plus its position; the
+# junction connections (node, line, anchor)
+MIGRATION = ((_I64, 5), (_I64, 6), (_F64, 2), (_I64, 3))
+# output: per-grain ids and areas and the element count, then for a
+# snapshot the live mesh arrays of ``Mesh.live_arrays``
+AREAS = ((_I64, None), (_F64, None), (_I64, None))
+MESH = ((_I64, None), (_F64, 2), (_I64, None), (_I64, 3), (_I64, None))
+SNAPSHOT = AREAS + MESH
 
 
 class WireError(Exception):
-    """Raised when a byte stream is not a valid record sequence."""
+    """Raised when a byte stream is not a valid frame of its layout."""
 
 
-@dataclass(frozen=True)
-class Pair:
-    """A node owned by several partitions, with the entity identity the
-    sender currently uses at that node."""
-    node: int
-    identity: int
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """Correspondence between the local identity of an entity and the one a
-    specific remote partition uses for the same entity."""
-    local_id: int
-    remote_id: int
-    part: int
-
-
-@dataclass(frozen=True)
-class NodePayload:
-    """One node inside an element packet, complete enough to instantiate on
-    the receiver: geometry, classification, boundary kind and per-class
-    connectivity (line membership for an L-node, line connections with their
-    anchor nodes for a P-node).  Co-owner ranks do not travel: the receiver
-    rebuilds its shared-node registry after every scatter."""
-    node: int
-    x: float
-    y: float
-    topo: int
-    entity: int
-    bnd: int
-    prv: int = NULL_ID
-    nxt: int = NULL_ID
-    line: int = NULL_ID
-    connections: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class ElementPacket:
-    """A migrating element with its surface id and fully described corners."""
-    elem: int
-    surf: int
-    nodes: tuple[NodePayload, ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class TempNodeReply:
-    """An owner's stencil support at a node it shares with the receiver:
-    (id, x, y) per sample node.  ``MODE_CHAIN`` carries one chain direction
-    of ``line``, ordered outward from ``node``; ``MODE_ARMS`` carries the
-    junction arm endpoints around ``node``, ascending by id, with ``line``
-    unused."""
-    mode: int
-    line: int
-    node: int
-    samples: tuple[tuple[int, float, float], ...] = ()
-
-
-@dataclass(frozen=True)
-class FlipNotice:
-    """A node whose collective move must be damped this round.  The sentinel
-    node ``NULL_ID`` reports that the sender has purely private violations,
-    which still forces everyone into another round."""
-    node: int
-
-
-Record = Pair | Triplet | ElementPacket | TempNodeReply | FlipNotice
-
-
-def _encode_node(n: NodePayload) -> bytes:
-    out = [_NODE_FIXED.pack(n.node, n.x, n.y, n.topo, n.entity, n.bnd),
-           _I64_3.pack(n.prv, n.nxt, n.line)]
-    out.append(_U32.pack(len(n.connections)))
-    for lid, anchor in n.connections:
-        out.append(_I64_PAIR.pack(lid, anchor))
-    return b"".join(out)
-
-
-def _decode_node(buf: bytes, off: int) -> tuple[NodePayload, int]:
-    node, x, y, topo, entity, bnd = _NODE_FIXED.unpack_from(buf, off)
-    off += _NODE_FIXED.size
-    prv, nxt, line = _I64_3.unpack_from(buf, off)
-    off += _I64_3.size
-    (ncon,) = _U32.unpack_from(buf, off)
-    off += _U32.size
-    conns = []
-    for _ in range(ncon):
-        lid, anchor = _I64_PAIR.unpack_from(buf, off)
-        off += _I64_PAIR.size
-        conns.append((lid, anchor))
-    return NodePayload(node, x, y, topo, entity, bnd, prv, nxt, line,
-                       tuple(conns)), off
-
-
-def _payload(rec: Record) -> tuple[int, bytes]:
-    if isinstance(rec, Pair):
-        return RT_PAIR, _PAIR.pack(rec.node, rec.identity)
-    if isinstance(rec, Triplet):
-        return RT_TRIPLET, _TRIPLET.pack(rec.local_id, rec.remote_id, rec.part)
-    if isinstance(rec, ElementPacket):
-        out = [_ELEM_HEAD.pack(rec.elem, rec.surf, len(rec.nodes))]
-        for n in rec.nodes:
-            out.append(_encode_node(n))
-        return RT_ELEMENT, b"".join(out)
-    if isinstance(rec, TempNodeReply):
-        out = [struct.pack("<BqqI", rec.mode, rec.line, rec.node,
-                           len(rec.samples))]
-        for nid, x, y in rec.samples:
-            out.append(_SAMPLE.pack(nid, x, y))
-        return RT_TEMP_REPLY, b"".join(out)
-    if isinstance(rec, FlipNotice):
-        return RT_FLIP, _FLIP.pack(rec.node)
-    raise WireError(f"unknown record {rec!r}")
-
-
-def encode_records(records) -> bytes:
-    """Serialize records into one framed byte string."""
-    out = []
-    for rec in records:
-        rtype, body = _payload(rec)
-        out.append(_HEADER.pack(WIRE_VERSION, rtype, len(body)))
-        out.append(body)
-    return b"".join(out)
-
-
-def _decode_one(rtype: int, body: bytes) -> Record:
-    if rtype == RT_PAIR:
-        return Pair(*_PAIR.unpack(body))
-    if rtype == RT_TRIPLET:
-        return Triplet(*_TRIPLET.unpack(body))
-    if rtype == RT_FLIP:
-        return FlipNotice(*_FLIP.unpack(body))
-    if rtype == RT_TEMP_REPLY:
-        mode, line, node, count = struct.unpack_from("<BqqI", body)
-        off = struct.calcsize("<BqqI")
-        samples = []
-        for _ in range(count):
-            nid, x, y = _SAMPLE.unpack_from(body, off)
-            off += _SAMPLE.size
-            samples.append((nid, x, y))
-        if off != len(body):
-            raise WireError("trailing bytes inside temp-node reply")
-        return TempNodeReply(mode, line, node, tuple(samples))
-    if rtype == RT_ELEMENT:
-        elem, surf, count = _ELEM_HEAD.unpack_from(body)
-        off = _ELEM_HEAD.size
-        nodes = []
-        for _ in range(count):
-            n, off = _decode_node(body, off)
-            nodes.append(n)
-        if off != len(body):
-            raise WireError("trailing bytes inside element packet")
-        return ElementPacket(elem, surf, tuple(nodes))
-    raise WireError(f"unknown record type {rtype}")
-
-
-def decode_records(buf: bytes) -> list[Record]:
-    """Parse a framed byte string back into records, strictly."""
-    records: list[Record] = []
-    off = 0
-    total = len(buf)
-    while off < total:
-        if off + _HEADER.size > total:
-            raise WireError("truncated record header")
-        version, rtype, length = _HEADER.unpack_from(buf, off)
-        if version != WIRE_VERSION:
-            raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
-        off += _HEADER.size
-        if off + length > total:
-            raise WireError("truncated record payload")
-        try:
-            records.append(_decode_one(rtype, buf[off:off + length]))
-        except struct.error as exc:
-            raise WireError(f"malformed record type {rtype}: {exc}") from exc
-        off += length
-    return records
-
-
-def encode_arrays(arrays) -> bytes:
-    """Frame numeric arrays into one byte string: the array count, then
-    each array in ``.npy`` format (dtype, shape, raw data)."""
+def encode_arrays(arrays, layout) -> bytes:
+    """Frame arrays (or nested sequences) as ``layout`` types them."""
     buf = io.BytesIO()
-    buf.write(_U32.pack(len(arrays)))
-    for a in arrays:
-        np.save(buf, a, allow_pickle=False)
+    buf.write(_HEADER.pack(WIRE_VERSION, len(layout)))
+    for a, (dtype, cols) in zip(arrays, layout, strict=True):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        np.save(buf, a.reshape(-1) if cols is None else a.reshape(-1, cols),
+                allow_pickle=False)
     return buf.getvalue()
 
 
-def decode_arrays(buf: bytes) -> list[np.ndarray]:
-    """Parse ``encode_arrays`` output, strictly: no pickled objects, no
-    missing or trailing bytes."""
-    if len(buf) < _U32.size:
-        raise WireError("truncated array count")
-    (count,) = _U32.unpack_from(buf)
+def decode_arrays(buf: bytes, layout) -> list[np.ndarray]:
+    """Parse an ``encode_arrays`` frame strictly: version, array count,
+    dtypes and column counts must match ``layout``, with no pickled
+    objects and no missing or trailing bytes.  The arrays are read-only
+    views of ``buf``."""
+    if len(buf) < _HEADER.size:
+        raise WireError("truncated frame header")
+    version, count = _HEADER.unpack_from(buf)
+    if version != WIRE_VERSION:
+        raise WireError(f"wire version {version}, expected {WIRE_VERSION}")
+    if count != len(layout):
+        raise WireError(f"frame holds {count} arrays, layout {len(layout)}")
     f = io.BytesIO(buf)
-    f.seek(_U32.size)
-    try:
-        arrays = [np.load(f, allow_pickle=False) for _ in range(count)]
-    except Exception as exc:
-        # numpy's header parser raises whatever its tokenizer meets
-        raise WireError(f"malformed array frame: {exc}") from exc
+    f.seek(_HEADER.size)
+    arrays = []
+    for i, (dtype, cols) in enumerate(layout):
+        try:
+            if np.lib.format.read_magic(f) != (1, 0):
+                raise ValueError("unsupported .npy version")
+            shape, fortran, got = np.lib.format.read_array_header_1_0(f)
+        except Exception as exc:
+            # numpy's header parser raises whatever its tokenizer meets
+            raise WireError(f"malformed header of array {i}: {exc}") from exc
+        want = (1,) if cols is None else (2, cols)
+        if (got != dtype or fortran or min(shape, default=0) < 0
+                or (len(shape),) + shape[1:] != want):
+            raise WireError(f"array {i} is {got} {shape}, layout wants "
+                            f"{dtype} with {cols} columns")
+        n = math.prod(shape)
+        start = f.tell()
+        if start + n * dtype.itemsize > len(buf):
+            raise WireError(f"truncated data of array {i}")
+        arrays.append(np.frombuffer(buf, dtype, n, start).reshape(shape))
+        f.seek(start + n * dtype.itemsize)
     if f.tell() != len(buf):
         raise WireError("trailing bytes after the last array")
     return arrays

@@ -10,7 +10,7 @@ from grainflow.mesh import (
 )
 from grainflow.partitioning import initial_partition, restrict_mesh
 from grainflow.tessellation import tessellate
-from grainflow.wire import decode_arrays, encode_arrays
+from grainflow.wire import MESH, decode_arrays, encode_arrays
 
 from .conftest import grid_mesh
 from .helpers import parse_vtk
@@ -179,7 +179,8 @@ def test_vtk_of_merged_pieces_matches_whole(tmp_path, n_parts):
     write_vtk(mesh.live_arrays(), whole)
     parts = initial_partition(mesh, n_parts)
     pieces = [decode_arrays(encode_arrays(
-        restrict_mesh(mesh, parts, r).live_arrays())) for r in range(n_parts)]
+        restrict_mesh(mesh, parts, r).live_arrays(), MESH), MESH)
+        for r in range(n_parts)]
     assert sum(len(p[0]) for p in pieces) > mesh.n_nodes()  # shared nodes
     for order in (pieces, pieces[::-1]):
         merged = tuple(np.concatenate(c) for c in zip(*order))

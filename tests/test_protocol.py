@@ -29,8 +29,8 @@ from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
 from grainflow.runner import RunConfig, run
 from grainflow.state import KIND_ELEM, KIND_NODE, RemeshParams
 from grainflow.transport import run_workers
-from grainflow.wire import (MODE_ARMS, MODE_CHAIN, TempNodeReply,
-                           encode_records)
+from grainflow.wire import (MIGRATION, MODE_ARMS, MODE_CHAIN, SUPPORT,
+                           decode_arrays, encode_arrays)
 
 from .conftest import grid_mesh, reconstructed
 
@@ -472,6 +472,42 @@ def test_scatter_rejects_self_routing():
         run_workers(1, worker)
 
 
+def single_strip():
+    (st,) = run_workers(1, lambda t: booted(t, make_strip, lambda cx, cy: 0))
+    return st
+
+
+def test_migration_frame_sends_each_node_once():
+    st = single_strip()
+    mesh = st.mesh
+    elems = sorted(mesh.n2e[40])  # the fan around an interface node
+    frame = pr._migration_frame(mesh, st.graph, elems)
+    rows, nodes, xy, conns = decode_arrays(frame, MIGRATION)
+    assert rows.tolist() == [[e, int(mesh.surf[e]), *mesh.tri[e].tolist()]
+                             for e in elems]
+    assert nodes[:, 0].tolist() == np.unique(mesh.tri[elems]).tolist()
+    assert len(nodes) < 3 * len(elems)
+    assert np.array_equal(xy, mesh.pos[nodes[:, 0]])
+    for n, topo, entity, bnd, prv, nxt in nodes.tolist():
+        assert (topo, entity, bnd) == (int(mesh.topo[n]), int(mesh.entity[n]),
+                                       int(mesh.bnd[n]))
+        links = (int(mesh.prv[n]), int(mesh.nxt[n]))
+        assert (prv, nxt) == (links if topo == LNODE else (NULL_ID, NULL_ID))
+    assert conns.tolist() == []  # the strip has no junctions
+
+
+def test_migration_frame_missing_corner_raises():
+    st = single_strip()
+    elems = sorted(st.mesh.n2e[40])
+    rows, nodes, xy, conns = decode_arrays(
+        pr._migration_frame(st.mesh, st.graph, elems), MIGRATION)
+    keep = nodes[:, 0] != 40
+    frame = encode_arrays([rows, nodes[keep], xy[keep], conns], MIGRATION)
+    with pytest.raises(pr.ProtocolError, match="without its corner 40"):
+        pr._apply_frames(Mesh(), EntityGraph(), [pr._read_migration(frame, 1)],
+                         pr.ScatterReport())
+
+
 def test_splice_conflict_raises():
     mesh = Mesh()
     mesh.add_node(1, (0.0, 0.0), topo=LNODE, entity=3)
@@ -689,21 +725,32 @@ def test_stencil_support_is_one_exchange():
         assert [m for m, _ in arms] == [m for m, _ in s1.point_arms[n]]
 
 
+def support_frame(records, heads=None):
+    """A ``SUPPORT`` frame of (mode, line, node, samples) records, samples
+    as (id, x, y); ``heads`` overrides the record heads as sent."""
+    samples = [s for *_, ss in records for s in ss]
+    if heads is None:
+        heads = [(mode, line, node, len(ss)) for mode, line, node, ss in records]
+    return encode_arrays([heads, [m for m, _, _ in samples],
+                          [(x, y) for _, x, y in samples]], SUPPORT)
+
+
 class PushedBy1:
-    """Rank 0 of two, whose one exchange delivers ``records`` from rank 1."""
+    """Rank 0 of two, whose one exchange delivers ``frame`` from rank 1."""
     rank, size = 0, 2
 
-    def __init__(self, records):
-        self.records = records
+    def __init__(self, frame):
+        self.frame = frame
 
     def all_to_all(self, payloads):
-        return [payloads[0], encode_records(self.records)]
+        return [payloads[0], self.frame]
 
 
-def pushed_by_1(st, records):
+def pushed_by_1(st, records, heads=None):
     """Stencil support on rank 0 after rank 1 pushed ``records``."""
-    return pr.complete_temporary_nodes(PushedBy1(records), st.mesh, st.graph,
-                                       lnodes_by_line(st.mesh))
+    return pr.complete_temporary_nodes(
+        PushedBy1(support_frame(records, heads)), st.mesh, st.graph,
+        lnodes_by_line(st.mesh))
 
 
 def strip_rank0():
@@ -715,9 +762,18 @@ def strip_rank0():
 def test_stencil_support_accepts_a_co_owner_record():
     st = strip_rank0()
     lid = int(st.mesh.entity[40])
-    rec = TempNodeReply(MODE_CHAIN, lid, 40, ((49, 0.5, 0.625),))
+    rec = (MODE_CHAIN, lid, 40, [(49, 0.5, 0.625)])
     sup = pushed_by_1(st, [rec])
     assert [run[0][0] for run in sup.line_sides[(lid, 40)]] == [31, 49]
+
+
+@pytest.mark.parametrize("declared", [0, 2, -1])
+def test_stencil_support_sample_count_mismatch_raises(declared):
+    st = strip_rank0()
+    lid = int(st.mesh.entity[40])
+    rec = (MODE_CHAIN, lid, 40, [(49, 0.5, 0.625)])
+    with pytest.raises(pr.ProtocolError, match="stencil samples"):
+        pushed_by_1(st, [rec], heads=[(MODE_CHAIN, lid, 40, declared)])
 
 
 @pytest.mark.parametrize("node", [31, 76])
@@ -725,7 +781,7 @@ def test_stencil_support_from_non_sharer_raises(node):
     # node 31 is private to rank 0, node 76 lives on rank 1 only
     st = strip_rank0()
     assert node not in st.mesh.shared
-    rec = TempNodeReply(MODE_CHAIN, int(st.mesh.entity[40]), node, ())
+    rec = (MODE_CHAIN, int(st.mesh.entity[40]), node, [])
     with pytest.raises(pr.ProtocolError, match="does not share"):
         pushed_by_1(st, [rec])
 
@@ -734,10 +790,10 @@ def test_stencil_support_mode_or_line_mismatch_raises():
     st = strip_rank0()
     assert st.mesh.is_shared(40) and st.mesh.topo[40] == LNODE
     lid = int(st.mesh.entity[40])
-    arms = TempNodeReply(MODE_ARMS, NULL_ID, 40, ())
+    arms = (MODE_ARMS, NULL_ID, 40, [])
     with pytest.raises(pr.ProtocolError, match="held as class"):
         pushed_by_1(st, [arms])
-    other = TempNodeReply(MODE_CHAIN, lid + 100, 40, ((49, 0.5, 0.625),))
+    other = (MODE_CHAIN, lid + 100, 40, [(49, 0.5, 0.625)])
     with pytest.raises(pr.ProtocolError, match="on line"):
         pushed_by_1(st, [other])
 

@@ -1,4 +1,4 @@
-"""Round-trip and malformed-input checks for the binary record layer."""
+"""Round-trip and malformed-input checks for the wire frame format."""
 
 import io
 import math
@@ -9,177 +9,118 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grainflow.mesh import NULL_ID, PNODE, LNODE, SNODE, BND_TANGENT_X
+from grainflow.mesh import NULL_ID
 from grainflow.wire import (
-    WIRE_VERSION, RT_ELEMENT, MODE_ARMS, MODE_CHAIN, WireError,
-    Pair, Triplet, NodePayload, ElementPacket, TempNodeReply, FlipNotice,
-    encode_records, decode_records,
-    encode_arrays, decode_arrays,
+    AREAS, FLIPS, MESH, MIGRATION, PAIRS, SNAPSHOT, SUPPORT, TRIPLETS,
+    WIRE_VERSION, WireError, decode_arrays, encode_arrays,
 )
 
-
-def roundtrip(records):
-    buf = encode_records(records)
-    out = decode_records(buf)
-    assert encode_records(out) == buf
-    return out
-
-
-def test_empty_stream():
-    assert decode_records(b"") == []
-    assert encode_records([]) == b""
-
-
-def test_pair_triplet_flip_roundtrip():
-    recs = [Pair(7, 105), Pair(NULL_ID, 0), Triplet(4, 9, 2),
-            Triplet(11, 11, 0), FlipNotice(42), FlipNotice(NULL_ID)]
-    assert roundtrip(recs) == recs
-
-
-def test_temp_reply_roundtrip():
-    recs = [TempNodeReply(MODE_CHAIN, 3, 17, ((18, 0.5, 0.25), (19, 0.75, 0.0))),
-            TempNodeReply(MODE_CHAIN, 4, NULL_ID, ()),
-            TempNodeReply(MODE_ARMS, NULL_ID, 99, ((98, 1.0, 2.0),))]
-    assert roundtrip(recs) == recs
-    buf = encode_records(recs[:1])
-    assert buf[0] == WIRE_VERSION == 3
-    # header, then mode (u8), line and node (i64 each), a u32 sample count
-    # and (i64, f64, f64) per sample
-    assert len(buf) == 6 + 1 + 8 + 8 + 4 + 2 * 24
-
-
-def test_temp_reply_float_bits_survive():
-    # values with no short decimal form; bit patterns must be preserved
-    x = math.pi
-    y = float.fromhex("0x1.fffffffffffffp-3")
-    tiny = 5e-324
-    recs = [TempNodeReply(MODE_CHAIN, 6, 2, ((10, x, y), (11, tiny, -0.0))),
-            TempNodeReply(MODE_ARMS, NULL_ID, 2, ())]
-    out = roundtrip(recs)
-    (_, rx, ry), (_, rt, rz) = out[0].samples
-    assert struct.pack("<d", rx) == struct.pack("<d", x)
-    assert struct.pack("<d", ry) == struct.pack("<d", y)
-    assert struct.pack("<d", rt) == struct.pack("<d", tiny)
-    assert math.copysign(1.0, rz) == -1.0
-
-
-def test_element_packet_roundtrip():
-    nodes = (
-        NodePayload(5, 0.25, 0.5, SNODE, 12, -1),
-        NodePayload(6, 1.0 / 3.0, 0.1, LNODE, 4, -1,
-                    prv=9, nxt=NULL_ID, line=4),
-        NodePayload(7, 0.0, 0.0, PNODE, 3, BND_TANGENT_X,
-                    connections=((4, 6), (8, NULL_ID))),
-    )
-    recs = [ElementPacket(40, 12, nodes), ElementPacket(41, 12, nodes[:1] * 3)]
-    out = roundtrip(recs)
-    assert out == recs
-    assert (out[0].nodes[1].prv, out[0].nodes[1].line) == (9, 4)
-    assert out[0].nodes[2].connections == ((4, 6), (8, NULL_ID))
-    # header, element head (i64, i64, u32), then per node the fixed part
-    # (i64, f64, f64, u8, i64, i8), prv/nxt/line (3 x i64) and a u32 count
-    # of connections
-    assert len(encode_records(recs[1:])) == 6 + 20 + 3 * (34 + 24 + 4)
-
-
-def test_mixed_stream_preserves_order():
-    recs = [Pair(1, 2), ElementPacket(3, 4, ()), FlipNotice(5),
-            TempNodeReply(MODE_CHAIN, 1, 2, ((3, 0.5, 0.25),)),
-            Triplet(6, 7, 1)]
-    assert roundtrip(recs) == recs
-
-
-def test_bad_version_rejected():
-    buf = bytearray(encode_records([Pair(1, 2)]))
-    buf[0] = WIRE_VERSION + 1
-    with pytest.raises(WireError, match="version"):
-        decode_records(bytes(buf))
-
-
-def test_truncated_header_rejected():
-    buf = encode_records([Pair(1, 2)])
-    with pytest.raises(WireError, match="truncated"):
-        decode_records(buf[:3])
-
-
-def test_truncated_payload_rejected():
-    buf = encode_records([Pair(1, 2)])
-    with pytest.raises(WireError, match="truncated"):
-        decode_records(buf[:-1])
-
-
-def test_unknown_record_type_rejected():
-    body = struct.pack("<qq", 1, 2)
-    buf = struct.pack("<BBI", WIRE_VERSION, 200, len(body)) + body
-    with pytest.raises(WireError, match="unknown record type"):
-        decode_records(buf)
-
-
-def test_trailing_bytes_in_element_rejected():
-    buf = bytearray(encode_records([ElementPacket(1, 2, ())]))
-    # grow the declared payload and append junk inside the frame
-    _, _, length = struct.unpack_from("<BBI", buf)
-    struct.pack_into("<BBI", buf, 0, WIRE_VERSION, RT_ELEMENT, length + 2)
-    buf += b"\x00\x00"
-    with pytest.raises(WireError, match="trailing"):
-        decode_records(bytes(buf))
-
-
-def test_short_fixed_payload_rejected():
-    body = struct.pack("<q", 1)  # Pair needs two i64
-    buf = struct.pack("<BBI", WIRE_VERSION, 1, len(body)) + body
-    with pytest.raises(WireError, match="malformed"):
-        decode_records(buf)
-
-
-# -- framed arrays -----------------------------------------------------------
-
-ARRAYS = [
-    np.array([3, -1, 2**62], dtype=np.int64),
-    np.arange(12, dtype=np.int64).reshape(4, 3),
-    np.zeros((0, 3), dtype=np.int64),
-    np.array([0.1, -0.0, math.pi, 1e-300, math.inf]),
-    np.random.default_rng(0).random((5, 2)),
-    np.zeros(0),
-    np.int64(7),
+# one frame per layout; float values have no short decimal form, so any
+# bit pattern change shows
+X = math.pi
+Y = float.fromhex("0x1.fffffffffffffp-3")
+FRAMES = [
+    (PAIRS, [[(7, 105), (NULL_ID, 0)]]),
+    (TRIPLETS, [[(4, 9, 2), (11, 11, 0)]]),
+    (FLIPS, [[42, NULL_ID]]),
+    (SUPPORT, [[(0, 3, 17, 2), (1, NULL_ID, 99, 0)], [18, 19],
+               [(X, Y), (5e-324, -0.0)]]),
+    (MIGRATION, [[(40, 12, 5, 6, 7)],
+                 [(5, 0, 12, -1, NULL_ID, NULL_ID), (6, 1, 4, -1, 9, NULL_ID),
+                  (7, 2, 3, 2, NULL_ID, NULL_ID)],
+                 [(0.25, 0.5), (1.0 / 3.0, 0.1), (0.0, 0.0)],
+                 [(7, 4, 6), (7, 8, NULL_ID)]]),
+    (AREAS, [[3, 8], [0.5, X], [12]]),
+    (SNAPSHOT, [[3], [0.5], [1], [0, 1, 2], np.random.default_rng(0).random((3, 2)),
+                [4], [(0, 1, 2)], [3]]),
+    (MESH, [[], np.zeros((0, 2)), [], np.zeros((0, 3)), []]),
 ]
+IDS = ["pairs", "triplets", "flips", "support", "migration", "areas",
+       "snapshot", "empty-mesh"]
 
 
-def test_arrays_roundtrip_exactly():
-    out = decode_arrays(encode_arrays(ARRAYS))
-    assert len(out) == len(ARRAYS)
-    for a, b in zip(ARRAYS, out):
-        assert b.dtype == a.dtype and b.shape == np.shape(a)
-        assert b.tobytes() == np.asarray(a).tobytes()
-    assert decode_arrays(encode_arrays([])) == []
+@pytest.mark.parametrize("layout,arrays", FRAMES, ids=IDS)
+def test_frames_roundtrip_exactly(layout, arrays):
+    buf = encode_arrays(arrays, layout)
+    assert struct.unpack_from("<II", buf) == (WIRE_VERSION, len(layout)) \
+        == (4, len(layout))
+    out = decode_arrays(buf, layout)
+    assert len(out) == len(layout)
+    for a, b, (dtype, cols) in zip(arrays, out, layout):
+        want = np.asarray(a, dtype=dtype)
+        want = want.reshape(-1) if cols is None else want.reshape(-1, cols)
+        assert b.dtype == dtype and b.shape == want.shape
+        assert b.tobytes() == want.tobytes()
+    assert encode_arrays(out, layout) == buf
 
 
-def test_arrays_truncated_rejected():
-    buf = encode_arrays(ARRAYS)
+def test_signed_zero_and_subnormal_survive():
+    _, _, xy = decode_arrays(encode_arrays(FRAMES[3][1], SUPPORT), SUPPORT)
+    assert struct.pack("<d", xy[1, 0]) == struct.pack("<d", 5e-324)
+    assert math.copysign(1.0, xy[1, 1]) == -1.0
+
+
+def test_wrong_dtype_rejected():
+    # pairs with float identities, and flips sent as int32
+    floats = ((np.dtype("<f8"), 2),)
+    with pytest.raises(WireError, match="layout wants"):
+        decode_arrays(encode_arrays([[(1, 2)]], floats), PAIRS)
+    narrow = ((np.dtype("<i4"), None),)
+    with pytest.raises(WireError, match="layout wants"):
+        decode_arrays(encode_arrays([[1, 2]], narrow), FLIPS)
+
+
+@pytest.mark.parametrize("sent,arrays,read", [
+    (PAIRS, [[(1, 2)]], TRIPLETS), (TRIPLETS, [[(1, 2, 3)]], PAIRS),
+    (FLIPS, [[1]], PAIRS), (PAIRS, [[(1, 2)]], FLIPS)])
+def test_wrong_column_count_rejected(sent, arrays, read):
+    with pytest.raises(WireError, match="columns"):
+        decode_arrays(encode_arrays(arrays, sent), read)
+
+
+def test_wrong_array_count_rejected():
+    buf = encode_arrays([[1, 2], [0.5, 0.25], [3]], AREAS)
+    with pytest.raises(WireError, match="arrays"):
+        decode_arrays(buf, SNAPSHOT)
+    with pytest.raises(WireError, match="arrays"):
+        decode_arrays(buf, FLIPS)
+
+
+def test_wrong_version_rejected():
+    buf = bytearray(encode_arrays([[42]], FLIPS))
+    struct.pack_into("<I", buf, 0, WIRE_VERSION - 1)
+    with pytest.raises(WireError, match="version"):
+        decode_arrays(bytes(buf), FLIPS)
+
+
+@pytest.mark.parametrize("layout,arrays", FRAMES[3:5], ids=IDS[3:5])
+def test_truncated_and_trailing_rejected(layout, arrays):
+    buf = encode_arrays(arrays, layout)
     for cut in range(len(buf)):
         with pytest.raises(WireError):
-            decode_arrays(buf[:cut])
-    with pytest.raises(WireError):
-        decode_arrays(buf + b"\0")
+            decode_arrays(buf[:cut], layout)
+    with pytest.raises(WireError, match="trailing"):
+        decode_arrays(buf + b"\0", layout)
 
 
-def test_arrays_pickled_rejected():
-    count = struct.pack("<I", 1)
+def test_pickled_input_rejected():
+    head = struct.pack("<II", WIRE_VERSION, 1)
     obj = io.BytesIO()
     np.save(obj, np.array([{"x": 1}], dtype=object), allow_pickle=True)
     for payload in (obj.getvalue(), pickle.dumps([1, 2, 3])):
         with pytest.raises(WireError):
-            decode_arrays(count + payload)
+            decode_arrays(head + payload, FLIPS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_mutated_array_frame_decodes_or_raises_wire_error(data):
-    buf = bytearray(encode_arrays(ARRAYS[:2]))
+def test_mutated_frame_decodes_or_raises_wire_error(data):
+    layout, arrays = FRAMES[5]
+    buf = bytearray(encode_arrays(arrays, layout))
     for _ in range(data.draw(st.integers(1, 3))):
         i = data.draw(st.integers(0, len(buf) - 1))
         buf[i] = data.draw(st.integers(0, 255))
     try:
-        decode_arrays(bytes(buf))
+        decode_arrays(bytes(buf), layout)
     except WireError:
         pass
