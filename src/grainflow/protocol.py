@@ -396,28 +396,28 @@ def _apply_frames(mesh, graph, frames, report):
 def _splice_link(mesh, n, attr, target):
     """Set one direction of a chain link, with reciprocal fill-in.
 
-    Both directions describe the same global chain, so an existing non-null
-    value may only be confirmed, never changed."""
+    Both directions describe the same global chain, so an existing link to
+    a node this worker holds may only be confirmed, never changed.  A link
+    to a node it does not hold counts as absent: pruning a junction that
+    left with a sent element does not clear the links that name it."""
     if not mesh.alive_node(target):
         return
     arr = getattr(mesh, attr)
     cur = int(arr[n])
-    if cur == target:
-        pass
-    elif cur == NULL_ID:
+    if cur != target:
+        if mesh.alive_node(cur):
+            raise ProtocolError(f"chain conflict at node {n}: {attr} is "
+                                f"{cur}, packet says {target}")
         arr[n] = target
-    else:
-        raise ProtocolError(
-            f"chain conflict at node {n}: {attr} is {cur}, packet says {target}")
     if int(mesh.topo[target]) == LNODE:
         back = mesh.nxt if attr == "prv" else mesh.prv
         cur_back = int(back[target])
-        if cur_back == NULL_ID:
+        if cur_back != n:
+            if mesh.alive_node(cur_back):
+                raise ProtocolError(
+                    f"chain conflict at node {target}: reciprocal of {n} is "
+                    f"{cur_back}")
             back[target] = n
-        elif cur_back != n:
-            raise ProtocolError(
-                f"chain conflict at node {target}: reciprocal of {n} is "
-                f"{cur_back}")
 
 
 def _apply_point(mesh, graph, nid, pid, conns):

@@ -152,6 +152,25 @@ def test_m_seq_seed4_survives(tmp_path):
                   seed=4, out=str(tmp_path)))
 
 
+def final_area(out, increments):
+    pts, cells, _ = parse_vtk(out / f"snapshot_{increments:04d}.vtk")
+    p = pts[np.array(cells)][..., :2]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    assert (areas > 0).all()
+    return float(areas.sum())
+
+
+def test_m_par2_seed11_survives_ten_increments(tmp_path):
+    # the benchmark's M problem at seed 11 on two workers, kept as found: a
+    # splice met a chain link naming a junction that had already left the
+    # worker and raised "chain conflict at node 244" at increment 9
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=10,
+                  n_parts=2, output_every=5, seed=11, out=str(tmp_path)))
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 11
+    assert final_area(tmp_path, 10) == pytest.approx(0.09, rel=1e-9)
+
+
 def test_m_par2_seed5_survives_six_increments(tmp_path):
     # the benchmark's M problem at seed 5 on two workers, kept as found:
     # the scoped second remesh pass read surface counts taken before the
