@@ -705,7 +705,8 @@ def split_sweep(ctx: RemeshCtx, scope: set[int] | None = None) -> int:
 # -- swap --------------------------------------------------------------------
 
 def try_swap(ctx: RemeshCtx, a: int, b: int) -> bool:
-    """Replace diagonal (a, b) of its element pair when quality improves."""
+    """Replace diagonal (a, b) of its element pair by (c, d) when the pair
+    forms a convex quad and quality improves."""
     mesh = ctx.mesh
     a, b = int(a), int(b)
     elems = mesh.edge_elements(a, b)
@@ -717,6 +718,10 @@ def try_swap(ctx: RemeshCtx, a: int, b: int) -> bool:
     c = next(int(n) for n in mesh.tri[e1] if int(n) not in (a, b))
     d = next(int(n) for n in mesh.tri[e2] if int(n) not in (a, b))
     if mesh.edge_elements(c, d):
+        return False
+    # a and b must lie on opposite sides of (c, d), or the new pair folds
+    side = _tri_area(mesh.pos[np.array([[c, d, a], [c, d, b]])])
+    if not side[0] * side[1] < 0:
         return False
 
     def oriented(i, j, k):

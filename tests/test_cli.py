@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from grainflow.cli import main
-from grainflow.mesh import TopologyError
 from grainflow.runner import (ConfigError, RunConfig, make_config,
                               parse_config, run)
 from grainflow.stats import read_hist_csv, read_stats_csv
@@ -143,15 +142,6 @@ def test_cli_flag_overrides_file(tmp_path, capsys):
     assert len(read_stats_csv(out / "stats.csv")) == 2
 
 
-@pytest.mark.xfail(raises=TopologyError, strict=True,
-                   reason="known defect: a node patch stops being a disk "
-                          "(node 906, increment 9)")
-def test_m_seq_seed4_survives(tmp_path):
-    # the benchmark's M problem at seed 4, kept as found: never re-seeded
-    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=9,
-                  seed=4, out=str(tmp_path)))
-
-
 def final_area(out, increments):
     pts, cells, _ = parse_vtk(out / f"snapshot_{increments:04d}.vtk")
     p = pts[np.array(cells)][..., :2]
@@ -159,6 +149,15 @@ def final_area(out, increments):
     areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     assert (areas > 0).all()
     return float(areas.sum())
+
+
+def test_m_seq_seed4_survives(tmp_path):
+    # the benchmark's M problem at seed 4, kept as found: never re-seeded.
+    # While swaps could fold a non-convex element pair, the patch of node
+    # 906 stopped being a disk at increment 9 (TopologyError)
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=9,
+                  seed=4, out=str(tmp_path)))
+    assert final_area(tmp_path, 9) == pytest.approx(0.09, rel=1e-9)
 
 
 def test_m_par2_seed11_survives_ten_increments(tmp_path):

@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grainflow.entities import (KIND_LINE, lnodes_by_line,
                                 recanonicalize_lines)
@@ -554,6 +555,30 @@ def test_swap_requires_strict_gain():
     ctx = make_ctx(mesh, graph, h=1.0)
     assert not try_swap(ctx, 0, 2)
     assert len(mesh.edge_elements(0, 2)) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.0, 2.0), st.floats(0.05, 1.5),
+       st.floats(-1.0, 2.0), st.floats(-1.5, -0.05))
+def test_accepted_swap_keeps_pair_area(xc, yc, xd, yd):
+    # edge (0, 1) on the x axis, apex 2 above and apex 3 below it
+    nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, xc, yc), (3, xd, yd)]
+    elems = [(0, (0, 1, 2), 0), (1, (1, 0, 3), 0)]
+    mesh, graph = reconstructed(build_mesh(nodes, elems))
+    area0 = total_area(mesh)
+    if try_swap(make_ctx(mesh, graph, h=1.0), 0, 1):
+        assert all_positive(mesh)
+        assert total_area(mesh) == pytest.approx(area0, rel=1e-12)
+
+
+def test_swap_refuses_folding_quad():
+    # apexes 2 and 3 both lie right of node 1: the new diagonal (2, 3)
+    # leaves nodes 0 and 1 on one side, and its triangles would overlap
+    nodes = [(0, 0.0, 0.0), (1, 1.0, 0.0), (2, 1.5, 0.2), (3, 1.5, -0.2)]
+    elems = [(0, (0, 1, 2), 0), (1, (1, 0, 3), 0)]
+    mesh, graph = reconstructed(build_mesh(nodes, elems))
+    assert not try_swap(make_ctx(mesh, graph, h=1.0), 0, 1)
+    assert len(mesh.edge_elements(0, 1)) == 2
 
 
 def test_swap_refuses_interface(strip_mesh):
