@@ -49,7 +49,7 @@ from .wire import (FLIPS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SUPPORT,
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
 
-# the stencil support record mode that belongs to each node class
+# the stencil support mode that belongs to each node class
 _SUPPORT_MODE = {LNODE: MODE_CHAIN, PNODE: MODE_ARMS}
 
 # how many chain nodes each side contributes to a shared-node stencil
@@ -312,11 +312,11 @@ def scatter_mesh(transport: Transport, state: SimState,
 
     Each destination gets one ``MIGRATION`` frame in which every node of
     its elements travels once; a corner missing from the frame raises
-    ``ProtocolError``.  Receivers instantiate unknown nodes once, splice line chains through the
-    carried prev/next ids (absent references stay null), and connect
-    junction arms they can resolve locally.  Senders then drop what they
-    handed over, cutting chains where a node leaves.  Ends by rebuilding the
-    shared-node registry.
+    ``ProtocolError``.  Receivers instantiate unknown nodes once, splice
+    line chains through the carried prev/next ids (absent references stay
+    null), and connect junction arms they can resolve locally.  Senders
+    then drop what they handed over, cutting chains where a node leaves.
+    Ends by rebuilding the shared-node registry.
     """
     mesh, graph = state.mesh, state.graph
     payloads = []

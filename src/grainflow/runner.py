@@ -7,8 +7,8 @@ worker body, a sequential run being the one-worker case: all workers
 execute it in lockstep and rank 0 alone touches the disk.  Each output step
 is one all-gather of a ``wire`` frame: every worker's per-grain areas and
 element count (layout ``AREAS``), plus its live mesh arrays when a
-snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files straight from the
-arrays.
+snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files
+straight from the arrays.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ One allocator hands out the new ids of all five kinds: nodes, elements,
 points, lines and surfaces.  Worker r of n takes ids congruent to r modulo
 n, so workers never hand out clashing values.  Every kind starts above the
 highest id in use.  In a parallel run that ceiling must agree on every
-worker before local allocation begins: element packets carry ids from
+worker before local allocation begins: migration frames carry ids from
 other workers, and a locally reused id could collide with a node that
 migrates in later.  The bootstrap takes it from the full mesh, which every
 worker builds alike.

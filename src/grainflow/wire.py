@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import math
 import struct
+from tokenize import TokenError
 
 import numpy as np
 
@@ -82,8 +83,8 @@ def decode_arrays(buf: bytes, layout) -> list[np.ndarray]:
             if np.lib.format.read_magic(f) != (1, 0):
                 raise ValueError("unsupported .npy version")
             shape, fortran, got = np.lib.format.read_array_header_1_0(f)
-        except Exception as exc:
-            # numpy's header parser raises whatever its tokenizer meets
+        except (ValueError, TypeError, SyntaxError, TokenError) as exc:
+            # numpy's header parser lets its tokenizer's errors through
             raise WireError(f"malformed header of array {i}: {exc}") from exc
         want = (1,) if cols is None else (2, cols)
         if (got != dtype or fortran or min(shape, default=0) < 0
