@@ -782,13 +782,16 @@ def test_stencil_support_accepts_a_co_owner_record():
     assert [run[0][0] for run in sup.line_sides[(lid, 40)]] == [31, 49]
 
 
-@pytest.mark.parametrize("declared", [0, 2, -1])
+@pytest.mark.parametrize("declared", [[0], [2], [-1, 2]])
 def test_stencil_support_sample_count_mismatch_raises(declared):
+    # one sample sent; the heads declare another count, or a negative one
+    # that still sums to one
     st = strip_rank0()
     lid = int(st.mesh.entity[40])
     rec = (MODE_CHAIN, lid, 40, [(49, 0.5, 0.625)])
     with pytest.raises(pr.ProtocolError, match="stencil samples"):
-        pushed_by_1(st, [rec], heads=[(MODE_CHAIN, lid, 40, declared)])
+        pushed_by_1(st, [rec],
+                    heads=[(MODE_CHAIN, lid, 40, c) for c in declared])
 
 
 @pytest.mark.parametrize("node", [31, 76])
