@@ -44,8 +44,8 @@ from .partitioning import restrict_mesh
 from .remesh import BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA, remesh_pass
 from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
-from .wire import (FLIPS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SUPPORT,
-                   TRIPLETS, decode_arrays, encode_arrays)
+from .wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SPEEDS,
+                   SUPPORT, TRIPLETS, decode_arrays, encode_arrays)
 
 _KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
 
@@ -70,12 +70,12 @@ def detect_shared_nodes(transport: Transport, mesh: Mesh) -> None:
     construction.
     """
     mine = mesh.alive_nodes().astype(np.int64)
-    blobs = transport.all_gather(mine.tobytes())
+    blobs = transport.all_gather(encode_arrays([mine], IDS))
     mesh.shared = {}
     for src, blob in enumerate(blobs):
         if src == transport.rank:
             continue
-        theirs = np.frombuffer(blob, dtype=np.int64)
+        (theirs,) = decode_arrays(blob, IDS)
         for n in np.intersect1d(mine, theirs, assume_unique=True):
             mesh.shared.setdefault(int(n), set()).add(src)
 
@@ -83,13 +83,24 @@ def detect_shared_nodes(transport: Transport, mesh: Mesh) -> None:
 def compute_ranking(transport: Transport, n_local_elems: int) -> np.ndarray:
     """Per-part rank values: fewer elements means a higher value, ties go to
     the lower part number.  Identical on every worker."""
-    blobs = transport.all_gather(np.int64(n_local_elems).tobytes())
-    counts = [int(np.frombuffer(b, dtype=np.int64)[0]) for b in blobs]
+    counts = _gather_one(transport, n_local_elems, IDS)
     order = sorted(range(len(counts)), key=lambda p: (counts[p], p))
     ranking = np.zeros(len(counts), dtype=np.int64)
     for pos, p in enumerate(order):
         ranking[p] = len(counts) - 1 - pos
     return ranking
+
+
+def _gather_one(transport: Transport, value, layout) -> list:
+    """Every worker's ``value``, all-gathered as a one-value frame."""
+    values = []
+    for src, blob in enumerate(transport.all_gather(
+            encode_arrays([[value]], layout))):
+        (a,) = decode_arrays(blob, layout)
+        if len(a) != 1:
+            raise ProtocolError(f"worker {src} sent {len(a)} values, not one")
+        values.append(a[0].item())
+    return values
 
 
 # -- identity regularization -------------------------------------------------
@@ -781,8 +792,8 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
         if len(bad) and len(notices) < len(bad) + len(idx):
             # private flips (or flips with no moving node) still force a round
             notices.append(NULL_ID)
-        gathered = transport.all_gather(encode_arrays([notices], FLIPS))
-        lists = [decode_arrays(b, FLIPS)[0].tolist() for b in gathered]
+        gathered = transport.all_gather(encode_arrays([notices], IDS))
+        lists = [decode_arrays(b, IDS)[0].tolist() for b in gathered]
         if all(len(l) == 0 for l in lists):
             break
         damp = set(int(i) for i in idx)
@@ -844,8 +855,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
 
     speeds = np.linalg.norm(vel, axis=1)
     local_vmax = float(speeds.max()) if len(speeds) else 0.0
-    blobs = transport.all_gather(np.float64(local_vmax).tobytes())
-    vmax = max(float(np.frombuffer(b, dtype=np.float64)[0]) for b in blobs)
+    vmax = max(_gather_one(transport, local_vmax, SPEEDS))
     cap = max_travel_frac * state.params.h
     n_sub = max(1, int(np.ceil(vmax * dt / cap))) if vmax > 0.0 else 1
     for i in range(n_sub):

@@ -29,8 +29,8 @@ from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
 from grainflow.runner import RunConfig, run
 from grainflow.state import KIND_ELEM, KIND_NODE, RemeshParams
 from grainflow.transport import run_workers
-from grainflow.wire import (MIGRATION, MODE_ARMS, MODE_CHAIN, SUPPORT,
-                           decode_arrays, encode_arrays)
+from grainflow.wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, SPEEDS,
+                           SUPPORT, decode_arrays, encode_arrays)
 
 from .conftest import grid_mesh, reconstructed
 
@@ -142,6 +142,30 @@ def test_ranking_matches_sort_oracle():
         order = sorted(range(len(counts)), key=lambda p: (counts[p], p))
         for hi, p in enumerate(order):
             assert ranking[p] == len(counts) - 1 - hi
+
+
+class GathersFrom1:
+    """Rank 0 of two, whose all-gathers deliver ``frame`` from rank 1."""
+    rank, size = 0, 2
+
+    def __init__(self, frame):
+        self.frame = frame
+
+    def all_gather(self, payload):
+        return [payload, self.frame]
+
+
+def test_one_value_message_of_other_length_raises():
+    for values in ([], [40, 41]):
+        bad = GathersFrom1(encode_arrays([values], IDS))
+        with pytest.raises(pr.ProtocolError, match="worker 1 sent"):
+            pr.compute_ranking(bad, 50)
+        bad = GathersFrom1(encode_arrays([[float(v) for v in values]],
+                                         SPEEDS))
+        with pytest.raises(pr.ProtocolError, match="worker 1 sent"):
+            pr._gather_one(bad, 0.5, SPEEDS)
+    good = GathersFrom1(encode_arrays([[40]], IDS))
+    assert list(pr.compute_ranking(good, 50)) == [0, 1]
 
 
 # -- identity regularization -------------------------------------------------

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grainflow import transport
 from grainflow.mesh import NULL_ID, PNODE, LNODE, SNODE, BND_TANGENT_X
+from grainflow.runner import RunConfig, run
 from grainflow.wire import (
-    AREAS, FLIPS, MESH, MIGRATION, PAIRS, SNAPSHOT, SUPPORT, TRIPLETS,
+    AREAS, IDS, MESH, MIGRATION, PAIRS, SNAPSHOT, SPEEDS, SUPPORT, TRIPLETS,
     MODE_ARMS, MODE_CHAIN, WIRE_VERSION, WireError,
     decode_arrays, encode_arrays,
 )
 
-LAYOUTS = [PAIRS, TRIPLETS, FLIPS, SUPPORT, MIGRATION, AREAS, MESH, SNAPSHOT]
+LAYOUTS = [PAIRS, TRIPLETS, IDS, SPEEDS, SUPPORT, MIGRATION, AREAS, MESH,
+           SNAPSHOT]
 
 # values with no short decimal form, so any change of bit pattern shows
 X = math.pi
@@ -48,7 +51,7 @@ def roundtrip(arrays, layout):
     assert len(out) == len(layout)
     for a, b, (dtype, cols) in zip(arrays, out, layout):
         want = np.asarray(a, dtype=dtype)
-        want = want.reshape(-1) if cols is None else want.reshape(-1, cols)
+        want = want.reshape(-1, cols) if cols else want.reshape(-1)
         assert b.dtype == dtype and b.shape == want.shape
         assert b.tobytes() == want.tobytes()
     assert encode_arrays(out, layout) == buf
@@ -66,16 +69,22 @@ def test_pair_triplet_flip_roundtrip():
     assert pairs.tolist() == [[7, 105], [NULL_ID, 0]]
     (trips,) = roundtrip([[(4, 9, 2), (11, 11, 0)]], TRIPLETS)
     assert trips.tolist() == [[4, 9, 2], [11, 11, 0]]
-    (flips,) = roundtrip([[42, NULL_ID]], FLIPS)
+    (flips,) = roundtrip([[42, NULL_ID]], IDS)
     assert flips.tolist() == [42, NULL_ID]
+    (speeds,) = roundtrip([[X]], SPEEDS)
+    assert speeds.tolist() == [X]
 
 
 def test_temp_reply_roundtrip():
     heads, ids, xy = roundtrip(SUPPORT_ARRAYS, SUPPORT)
     assert heads[:, 3].sum() == len(ids) == len(xy) == 3
     buf = encode_arrays(SUPPORT_ARRAYS, SUPPORT)
-    # the frame header: wire version and array count, both u32
-    assert struct.unpack_from("<II", buf) == (WIRE_VERSION, 3) == (4, 3)
+    # the frame header: wire version and array count, both u32; then per
+    # array its dtype string, column count and row count
+    assert struct.unpack_from("<II", buf) == (WIRE_VERSION, 3) == (5, 3)
+    assert [struct.unpack_from("<3sBq", buf, 8 + 12 * i) for i in range(3)] \
+        == [(b"<i8", 4, 3), (b"<i8", 0, 3), (b"<f8", 2, 3)]
+    assert len(buf) == 8 + 3 * 12 + 8 * (3 * 4 + 3 + 3 * 2)
 
 
 def test_temp_reply_float_bits_survive():
@@ -111,22 +120,83 @@ def test_arrays_roundtrip_exactly():
     assert areas.tobytes() == np.array(specials).tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_every_layout_roundtrips_any_row_count(data):
+    for layout in LAYOUTS:
+        arrays = []
+        for dtype, cols in layout:
+            rows = data.draw(st.integers(0, 6))
+            shape = (rows, cols) if cols else (rows,)
+            if dtype.kind == "f":
+                values = st.floats(allow_nan=False, width=64)
+            else:
+                values = st.integers(-2**63, 2**63 - 1)
+            flat = data.draw(st.lists(values, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+            arrays.append(np.array(flat, dtype=dtype).reshape(shape))
+        roundtrip(arrays, layout)
+
+
+def test_forged_row_count_rejected():
+    # a descriptor claiming 2**62 rows must not make the decoder allocate
+    for layout in (IDS, PAIRS, SUPPORT):
+        buf = bytearray(encode_arrays([[]] * len(layout), layout))
+        struct.pack_into("<q", buf, 8 + 4, 2**62)
+        with pytest.raises(WireError, match="truncated data"):
+            decode_arrays(bytes(buf), layout)
+
+
+def test_every_collective_payload_is_a_frame(tmp_path, monkeypatch):
+    # a 2-worker run with snapshots: every payload any collective carries
+    # decodes under one of the layouts
+    sent = []
+
+    def recording(name):
+        orig = getattr(transport.InProcessTransport, name)
+
+        def wrapper(self, payload):
+            many = payload if name == "all_to_all" else [payload]
+            sent.extend((name, buf) for buf in many)
+            return orig(self, payload)
+        return wrapper
+
+    for name in ("all_gather", "all_to_all"):
+        monkeypatch.setattr(transport.InProcessTransport, name,
+                            recording(name))
+    run(RunConfig(domain=0.2, grains=8, increments=3, seed=3, n_parts=2,
+                  output_every=1, out=str(tmp_path)))
+    assert {name for name, _ in sent} == {"all_gather", "all_to_all"}
+
+    def decodes(buf, layout):
+        try:
+            decode_arrays(buf, layout)
+        except WireError:
+            return False
+        return True
+
+    for name, buf in sent:
+        assert any(decodes(buf, layout) for layout in LAYOUTS), (name, buf[:32])
+
+
 def test_wrong_dtype_rejected():
-    # pairs with float identities, and flips sent as int32
+    # pairs with float identities, ids sent as int32, a speed as an id
     floats = ((np.dtype("<f8"), 2),)
     with pytest.raises(WireError, match="layout wants"):
         decode_arrays(encode_arrays([[(1, 2)]], floats), PAIRS)
-    narrow = ((np.dtype("<i4"), None),)
+    narrow = ((np.dtype("<i4"), 0),)
     with pytest.raises(WireError, match="layout wants"):
-        decode_arrays(encode_arrays([[1, 2]], narrow), FLIPS)
+        decode_arrays(encode_arrays([[1, 2]], narrow), IDS)
+    with pytest.raises(WireError, match="layout wants"):
+        decode_arrays(encode_arrays([[0.5]], SPEEDS), IDS)
 
 
 def test_short_fixed_payload_rejected():
     # the right array count and dtype, the wrong column count
     for sent, arrays, read in ((PAIRS, [[(1, 2)]], TRIPLETS),
                                (TRIPLETS, [[(1, 2, 3)]], PAIRS),
-                               (FLIPS, [[1]], PAIRS),
-                               (PAIRS, [[(1, 2)]], FLIPS)):
+                               (IDS, [[1]], PAIRS),
+                               (PAIRS, [[(1, 2)]], IDS)):
         with pytest.raises(WireError, match="columns"):
             decode_arrays(encode_arrays(arrays, sent), read)
 
@@ -136,7 +206,7 @@ def test_wrong_array_count_rejected():
     with pytest.raises(WireError, match="frame holds 3 arrays"):
         decode_arrays(buf, SNAPSHOT)
     with pytest.raises(WireError, match="frame holds 3 arrays"):
-        decode_arrays(buf, FLIPS)
+        decode_arrays(buf, IDS)
 
 
 def test_unknown_record_type_rejected():
@@ -157,8 +227,9 @@ def test_truncated_header_rejected():
     buf = encode_arrays([[(1, 2)]], PAIRS)
     with pytest.raises(WireError, match="truncated frame header"):
         decode_arrays(buf[:7], PAIRS)
-    with pytest.raises(WireError, match="malformed header"):
-        decode_arrays(buf[:40], PAIRS)
+    # the frame header is whole, the array descriptor after it is not
+    with pytest.raises(WireError, match="truncated array descriptors"):
+        decode_arrays(buf[:12], PAIRS)
 
 
 def test_truncated_payload_rejected():
@@ -188,7 +259,7 @@ def test_arrays_pickled_rejected():
     np.save(obj, np.array([{"x": 1}], dtype=object), allow_pickle=True)
     for payload in (obj.getvalue(), pickle.dumps([1, 2, 3])):
         with pytest.raises(WireError):
-            decode_arrays(head + payload, FLIPS)
+            decode_arrays(head + payload, IDS)
 
 
 @settings(max_examples=300, deadline=None)
