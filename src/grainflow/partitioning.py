@@ -174,13 +174,34 @@ def save_partition(path, parts: np.ndarray) -> None:
             f.write(f"{int(e)} {int(parts[e])}\n")
 
 
-def load_partition(path, n_elems: int) -> np.ndarray:
-    parts = np.full(n_elems, NULL_ID, dtype=np.int64)
+def load_partition(path, mesh: Mesh, n_parts: int) -> np.ndarray:
+    """Read a partition file, indexed by element id like ``initial_partition``.
+
+    Every live element of ``mesh`` must be assigned exactly once, to a part
+    in ``[0, n_parts)``; otherwise ``ValueError`` names the first bad line,
+    or the first live element no line assigns.
+    """
+    parts = np.full(len(mesh.elem_alive), NULL_ID, dtype=np.int64)
     with open(path) as f:
-        for line in f:
-            line = line.strip()
+        for ln, raw in enumerate(f, start=1):
+            line = raw.strip()
             if not line:
                 continue
-            e, p = line.split()
-            parts[int(e)] = int(p)
+            try:
+                e, p = (int(v) for v in line.split())
+            except ValueError:
+                raise ValueError(f"line {ln}: expected 'elem_id part_rank', "
+                                 f"got {line!r}") from None
+            if not (0 <= e < len(parts) and mesh.elem_alive[e]):
+                raise ValueError(f"line {ln}: {e} is not a live element")
+            if not 0 <= p < n_parts:
+                raise ValueError(f"line {ln}: part {p} of element {e} is "
+                                 f"outside 0..{n_parts - 1}")
+            if parts[e] != NULL_ID:
+                raise ValueError(f"line {ln}: element {e} is assigned twice")
+            parts[e] = p
+    eids = mesh.alive_elems()
+    missing = eids[parts[eids] == NULL_ID]
+    if len(missing):
+        raise ValueError(f"element {missing[0]} is assigned to no part")
     return parts

@@ -8,11 +8,13 @@ execute it in lockstep and rank 0 alone touches the disk.  Each output step
 is one all-gather of a ``wire`` frame: every worker's per-grain areas and
 element count (layout ``AREAS``), plus its live mesh arrays when a
 snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files
-straight from the arrays.
+straight from the arrays; each stats.csv and timings.csv row is flushed as
+it is made, so a run that raises leaves the record of what it finished.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 import time
 from dataclasses import dataclass, fields
@@ -23,9 +25,9 @@ from .mesh import Mesh, write_vtk
 from .motion import reduced_mobility
 from .partitioning import initial_partition, load_partition
 from .protocol import bootstrap_state, parallel_increment
-from .stats import (StatsRecord, erom, grain_size_histogram,
-                    mean_grain_size_weighted, merge_areas, surface_areas,
-                    write_hist_csv, write_stats_csv, write_timings_csv)
+from .stats import (TIMINGS_HEADER, StatsRecord, erom, grain_size_histogram,
+                    mean_grain_size_weighted, merge_areas, stats_header,
+                    stats_row, surface_areas, timings_row, write_hist_csv)
 from .tessellation import tessellate
 from .transport import MpiTransport, Transport, run_workers
 from .wire import AREAS, SNAPSHOT, decode_arrays, encode_arrays
@@ -120,28 +122,41 @@ def _record(t: float, areas: np.ndarray, counts, wall: float) -> StatsRecord:
 
 
 class _Emitter:
-    """Rank-0 output writer; snapshot/histogram numbering is the increment."""
+    """Rank-0 output writer; snapshot/histogram numbering is the increment.
+
+    Every stats.csv and timings.csv row is written and flushed as it is
+    made, so a run that dies leaves the record of every increment it
+    finished."""
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self.records: list[StatsRecord] = []
-        self.walls: list[float] = []
+        self.files = {name: open(os.path.join(cfg.out, name), "w", newline="")
+                      for name in ("stats.csv", "timings.csv")}
+        self._row("stats.csv", stats_header(cfg.n_parts))
+        self._row("timings.csv", TIMINGS_HEADER)
+
+    def _row(self, name: str, row: list) -> None:
+        f = self.files[name]
+        csv.writer(f).writerow(row)
+        f.flush()
 
     def step(self, inc: int, areas: np.ndarray, counts, wall: float,
              piece) -> None:
         """Record one increment; ``piece`` is the merged mesh arrays when a
         snapshot is due, else None."""
-        self.records.append(_record(inc * self.cfg.dt, areas, counts, 0.0))
+        self._row("stats.csv",
+                  stats_row(_record(inc * self.cfg.dt, areas, counts, 0.0)))
         if inc > 0:
-            self.walls.append(wall)
+            self._row("timings.csv", timings_row(inc, wall))
         if piece is not None:
             write_vtk(piece, os.path.join(self.cfg.out, f"snapshot_{inc:04d}.vtk"))
             write_hist_csv(os.path.join(self.cfg.out, f"hist_{inc:04d}.csv"),
                            grain_size_histogram(areas))
 
     def finish(self) -> None:
-        write_stats_csv(os.path.join(self.cfg.out, "stats.csv"), self.records)
-        write_timings_csv(os.path.join(self.cfg.out, "timings.csv"), self.walls)
+        """Close the row files; runs whether or not the run completed."""
+        for f in self.files.values():
+            f.close()
 
 
 # -- worker body -------------------------------------------------------------
@@ -149,7 +164,10 @@ class _Emitter:
 def _run_worker(transport: Transport, cfg: RunConfig) -> None:
     full = _build_initial(cfg)
     if cfg.partition_file:
-        parts = load_partition(cfg.partition_file, len(full.elem_alive))
+        try:
+            parts = load_partition(cfg.partition_file, full, cfg.n_parts)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.partition_file}: {exc}") from None
     else:
         parts = initial_partition(full, cfg.n_parts)
     state = bootstrap_state(transport, full, parts, cfg.h)
@@ -174,13 +192,15 @@ def _run_worker(transport: Transport, cfg: RunConfig) -> None:
                       if due else None)
             emit.step(inc, areas, counts, wall, merged)
 
-    snapshot(0, 0.0)
-    for inc in range(1, cfg.increments + 1):
-        t0 = time.perf_counter()
-        parallel_increment(transport, state, cfg.dt, mobility)
-        snapshot(inc, time.perf_counter() - t0)
-    if emit is not None:
-        emit.finish()
+    try:
+        snapshot(0, 0.0)
+        for inc in range(1, cfg.increments + 1):
+            t0 = time.perf_counter()
+            parallel_increment(transport, state, cfg.dt, mobility)
+            snapshot(inc, time.perf_counter() - t0)
+    finally:
+        if emit is not None:
+            emit.finish()
 
 
 def run(cfg: RunConfig) -> None:

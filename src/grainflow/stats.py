@@ -99,16 +99,20 @@ def stats_header(n_parts: int) -> list[str]:
             + [f"elements_p{i}" for i in range(n_parts)])
 
 
+def stats_row(r: StatsRecord) -> list:
+    """One stats.csv row; floats in shortest round-trip form."""
+    return ([repr(float(r.t)), r.grains, repr(float(r.mean_size_mm)),
+             repr(float(r.erom)), repr(float(r.inc_wall_s))]
+            + [int(c) for c in r.elements])
+
+
 def write_stats_csv(path, records: list[StatsRecord]) -> None:
     if not records:
         raise ValueError("no records")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(stats_header(len(records[0].elements)))
-        for r in records:
-            w.writerow([repr(float(r.t)), r.grains, repr(float(r.mean_size_mm)),
-                        repr(float(r.erom)), repr(float(r.inc_wall_s))]
-                       + [int(c) for c in r.elements])
+        w.writerows(stats_row(r) for r in records)
 
 
 def read_stats_csv(path) -> list[StatsRecord]:
@@ -142,11 +146,17 @@ def read_hist_csv(path):
     return data[:, 2], edges
 
 
+TIMINGS_HEADER = ["inc", "wall_s"]
+
+
+def timings_row(inc: int, wall_s: float) -> list:
+    return [inc, repr(float(wall_s))]
+
+
 def write_timings_csv(path, wall_s: list[float]) -> None:
     """Measured per-increment wall times; kept out of stats.csv so repeated
     runs stay byte-identical there."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["inc", "wall_s"])
-        for i, t in enumerate(wall_s, start=1):
-            w.writerow([i, repr(float(t))])
+        w.writerow(TIMINGS_HEADER)
+        w.writerows(timings_row(i, t) for i, t in enumerate(wall_s, start=1))

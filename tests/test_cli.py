@@ -1,13 +1,17 @@
 """Driver and command-line coverage: config handling, artifact layout,
 rerun determinism, and the sequential/parallel smoke paths."""
 
+import gc
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from grainflow import runner
 from grainflow.cli import main
+from grainflow.partitioning import initial_partition, save_partition
 from grainflow.runner import (ConfigError, RunConfig, make_config,
                               parse_config, run)
 from grainflow.stats import read_hist_csv, read_stats_csv
@@ -115,6 +119,97 @@ def test_two_worker_smoke_run(tmp_path):
     # the assembled snapshot carries every element exactly once
     _, cells, _ = parse_vtk(par / f"snapshot_{SMOKE['increments']:04d}.vtk")
     assert len(cells) == sum(p[-1].elements)
+
+
+def test_failed_run_leaves_its_record(tmp_path, monkeypatch):
+    whole = tmp_path / "whole"
+    run(RunConfig(**SMOKE, out=str(whole)))
+    calls = []
+    increment = runner.parallel_increment
+
+    def third_raises(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("increment 3 fails")
+        return increment(*args)
+
+    monkeypatch.setattr(runner, "parallel_increment", third_raises)
+    out = tmp_path / "failed"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="increment 3 fails"):
+            run(RunConfig(**SMOKE, out=str(out)))
+        gc.collect()
+    assert not [w for w in caught if w.category is ResourceWarning]
+    # the header and the rows of increments 0, 1 and 2
+    stats = (out / "stats.csv").read_bytes().splitlines(keepends=True)
+    assert stats == (whole / "stats.csv").read_bytes().splitlines(
+        keepends=True)[:4]
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "inc,wall_s"
+    assert [row.split(",")[0] for row in timings[1:]] == ["1", "2"]
+
+
+# -- partition files ---------------------------------------------------------
+
+def partition_lines(tmp_path):
+    """The lines of a valid 2-part partition file of the SMOKE mesh."""
+    path = tmp_path / "parts.txt"
+    mesh = runner._build_initial(RunConfig(**SMOKE))
+    save_partition(path, initial_partition(mesh, 2))
+    return path, path.read_text().splitlines()
+
+
+def run_partitioned(path, tmp_path):
+    run(RunConfig(**SMOKE, n_parts=2, partition_file=str(path),
+                  out=str(tmp_path / "out")))
+
+
+def test_partition_file_drives_the_run(tmp_path):
+    path, _ = partition_lines(tmp_path)
+    run_partitioned(path, tmp_path)
+    recs = read_stats_csv(tmp_path / "out" / "stats.csv")
+    assert all(min(r.elements) > 0 for r in recs)
+
+
+def test_partition_file_missing_element_rejected(tmp_path):
+    path, lines = partition_lines(tmp_path)
+    missing = lines[5].split()[0]
+    path.write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    with pytest.raises(ConfigError,
+                       match=f"element {missing} is assigned to no part"):
+        run_partitioned(path, tmp_path)
+
+
+def test_partition_file_part_out_of_range_rejected(tmp_path):
+    path, lines = partition_lines(tmp_path)
+    lines[3] = lines[3].split()[0] + " 2"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="line 4: part 2 of element"):
+        run_partitioned(path, tmp_path)
+
+
+def test_partition_file_bad_element_id_rejected(tmp_path, capsys):
+    path, lines = partition_lines(tmp_path)
+    path.write_text("\n".join(lines + ["999999 0"]) + "\n")
+    bad = f"line {len(lines) + 1}: 999999 is not a live element"
+    with pytest.raises(ConfigError, match=bad):
+        run_partitioned(path, tmp_path)
+    # the command line reports it without a traceback
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("domain = 0.2\ngrains = 8\nincrements = 1\nseed = 3\n"
+                       f"n_parts = 2\npartition_file = {path}\n"
+                       f"out = {tmp_path / 'cli'}\n")
+    assert main(["run", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"grainflow: {path}: {bad}\n"
+
+
+def test_partition_file_duplicated_element_rejected(tmp_path):
+    path, lines = partition_lines(tmp_path)
+    elem = lines[2].split()[0]
+    path.write_text("\n".join(lines + [f"{elem} 1"]) + "\n")
+    with pytest.raises(ConfigError, match=f"element {elem} is assigned twice"):
+        run_partitioned(path, tmp_path)
 
 
 def test_cli_run_and_stats(tmp_path, capsys):

@@ -108,5 +108,5 @@ def test_partition_file_roundtrip(tmp_path):
     parts = initial_partition(mesh, 2)
     path = tmp_path / "parts.txt"
     save_partition(path, parts)
-    back = load_partition(path, len(parts))
+    back = load_partition(path, mesh, 2)
     assert np.array_equal(parts, back)
