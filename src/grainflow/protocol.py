@@ -55,6 +55,9 @@ _SUPPORT_MODE = {LNODE: MODE_CHAIN, PNODE: MODE_ARMS}
 # how many chain nodes each side contributes to a shared-node stencil
 _STENCIL_DEPTH = 2
 
+# the farthest a node may travel in one motion substep, as a fraction of h
+MAX_TRAVEL_FRAC = 0.25
+
 
 class ProtocolError(RuntimeError):
     """A worker received data that no correct peer could have sent."""
@@ -106,33 +109,31 @@ def _gather_one(transport: Transport, value, layout) -> list:
 # -- identity regularization -------------------------------------------------
 
 def regularize_identities(transport: Transport, mesh: Mesh,
-                          graph: EntityGraph,
-                          registry: dict[int, set[int]] | None = None):
+                          graph: EntityGraph):
     """Agree on entity names across partitions.
 
-    For every shared node, each owner tells all co-owners which entity it
-    couples to the node; the resulting identity correspondences are
-    broadcast and chased into groups, and every group renames to its lowest
-    identity.  Running it twice is a no-op the second time.
+    For every node of the shared-node registry ``mesh.shared``, each owner
+    tells all co-owners which entity it couples to the node; the resulting
+    identity correspondences are broadcast and chased into groups, and
+    every group renames to its lowest identity.  Running it twice is a
+    no-op the second time.
     """
-    if registry is None:
-        registry = mesh.shared
     renames: dict[str, dict[int, int]] = {}
     for kind in (KIND_POINT, KIND_LINE, KIND_SURFACE):
-        renames[kind] = _regularize_kind(transport, mesh, graph, registry, kind)
+        renames[kind] = _regularize_kind(transport, mesh, graph, kind)
     return renames
 
 
-def _regularize_kind(transport, mesh, graph, registry, kind):
+def _regularize_kind(transport, mesh, graph, kind):
     cls = _KIND_CLASS[kind]
     outbox: list[list[tuple[int, int]]] = [[] for _ in range(transport.size)]
-    for n in sorted(registry):
+    for n in sorted(mesh.shared):
         if int(mesh.topo[n]) != cls:
             continue
         ident = int(mesh.entity[n])
         if ident == NULL_ID:
             raise TopologyError(f"shared node {n} carries no entity identity")
-        for j in sorted(registry[n]):
+        for j in sorted(mesh.shared[n]):
             outbox[j].append((n, ident))
 
     received = transport.all_to_all([encode_arrays([o], PAIRS)
@@ -191,20 +192,19 @@ def _chase_group(universe, treated, start):
 
 # -- element selection -------------------------------------------------------
 
-def select_elements_to_send(mesh: Mesh, registry: dict[int, set[int]],
-                            ranking: np.ndarray, rank: int
+def select_elements_to_send(mesh: Mesh, ranking: np.ndarray, rank: int
                             ) -> dict[int, list[int]]:
     """Pick, per higher-ranked neighbor, the boundary elements to hand over.
 
     Only parts outranking the sender receive anything.  Candidates around
-    nodes shared with such a neighbor are kept only when no node of the
-    element is co-owned by a still higher-ranked part, so every element
-    travels to the single best destination and the per-destination sets
-    never overlap.
+    nodes shared (``mesh.shared``) with such a neighbor are kept only when
+    no node of the element is co-owned by a still higher-ranked part, so
+    every element travels to the single best destination and the
+    per-destination sets never overlap.
     """
     by_part: dict[int, list[int]] = {}
-    for n in sorted(registry):
-        for j in registry[n]:
+    for n in sorted(mesh.shared):
+        for j in mesh.shared[n]:
             if ranking[j] > ranking[rank]:
                 by_part.setdefault(j, []).append(n)
 
@@ -219,10 +219,10 @@ def select_elements_to_send(mesh: Mesh, registry: dict[int, set[int]],
                 seen.add(e)
                 sends_j.append(e)
         sends[j] = sends_j
-    return _filter_ranked(mesh, registry, ranking, sends)
+    return _filter_ranked(mesh, ranking, sends)
 
 
-def _filter_ranked(mesh, registry, ranking, sends):
+def _filter_ranked(mesh, ranking, sends):
     out: dict[int, list[int]] = {}
     for j, elems in sorted(sends.items()):
         if not elems:
@@ -231,7 +231,7 @@ def _filter_ranked(mesh, registry, ranking, sends):
         for e in elems:
             best = j
             for n in mesh.tri[e]:
-                for k in registry.get(int(n), ()):
+                for k in mesh.shared.get(int(n), ()):
                     if ranking[k] > ranking[best]:
                         best = k
             if best == j:
@@ -816,8 +816,7 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
 # -- the increment -----------------------------------------------------------
 
 def parallel_increment(transport: Transport, state: SimState, dt: float,
-                       mobility: float | None = None,
-                       max_travel_frac: float = 0.25):
+                       mobility: float | None = None):
     """One evolution increment of this worker, in lockstep with its peers.
 
     Maintenance first with boundary operations blocked, then load balancing
@@ -827,7 +826,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     Junctions decompose before stencils are gathered: a peel can rewire a
     chain within stencil reach, and co-owners must fit identical knots.
     The motion substep count is chosen so no node travels more than
-    ``max_travel_frac * h`` per substep, with velocities recomputed between
+    ``MAX_TRAVEL_FRAC * h`` per substep, with velocities recomputed between
     substeps.  A single worker runs the same steps: it shares no nodes,
     sends no elements and its second maintenance pass has nothing in scope.
     """
@@ -838,8 +837,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     stats = remesh_pass(state)
 
     ranking = compute_ranking(transport, mesh.n_elems())
-    selections = select_elements_to_send(mesh, mesh.shared, ranking,
-                                         transport.rank)
+    selections = select_elements_to_send(mesh, ranking, transport.rank)
     report = scatter_mesh(transport, state, selections)
 
     scope = {n for n in pre_shared | report.touched_nodes
@@ -856,7 +854,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     speeds = np.linalg.norm(vel, axis=1)
     local_vmax = float(speeds.max()) if len(speeds) else 0.0
     vmax = max(_gather_one(transport, local_vmax, SPEEDS))
-    cap = max_travel_frac * state.params.h
+    cap = MAX_TRAVEL_FRAC * state.params.h
     n_sub = max(1, int(np.ceil(vmax * dt / cap))) if vmax > 0.0 else 1
     for i in range(n_sub):
         if i > 0:

@@ -257,7 +257,8 @@ def _run_surface_regularization(n_parts, nodes, registries, owned=None):
         graph = EntityGraph()
         for sid in owned[t.rank]:
             graph.surfaces[sid] = Surface(sid)
-        renames = pr.regularize_identities(t, mesh, graph, registries[t.rank])
+        mesh.shared = registries[t.rank]
+        renames = pr.regularize_identities(t, mesh, graph)
         ents = {nid: int(mesh.entity[nid]) for nid in nodes[t.rank]}
         return renames[KIND_SURFACE], sorted(graph.surfaces), ents
 
@@ -310,8 +311,9 @@ def test_regularize_idempotent():
         graph = EntityGraph()
         for _nid, (_topo, sid) in nodes[t.rank].items():
             graph.surfaces.setdefault(sid, Surface(sid))
-        pr.regularize_identities(t, mesh, graph, registries[t.rank])
-        second = pr.regularize_identities(t, mesh, graph, registries[t.rank])
+        mesh.shared = registries[t.rank]
+        pr.regularize_identities(t, mesh, graph)
+        second = pr.regularize_identities(t, mesh, graph)
         return second
 
     for renames in run_workers(n_parts, worker):
@@ -332,8 +334,8 @@ def test_regularize_all_kinds_and_connections():
                                           {(KIND_LINE, 10 + t.rank)})
         graph.lines[10 + t.rank] = Line(10 + t.rank)
         graph.surfaces[30 + 2 * t.rank] = Surface(30 + 2 * t.rank)
-        registry = {1: {1 - t.rank}, 2: {1 - t.rank}, 3: {1 - t.rank}}
-        pr.regularize_identities(t, mesh, graph, registry)
+        mesh.shared = {1: {1 - t.rank}, 2: {1 - t.rank}, 3: {1 - t.rank}}
+        pr.regularize_identities(t, mesh, graph)
         return (sorted(graph.points), sorted(graph.lines),
                 sorted(graph.surfaces), graph.points[20].connections,
                 [int(e) for e in mesh.entity[[1, 2, 3]]])
@@ -350,7 +352,8 @@ def test_regularize_class_mismatch_raises():
         graph = EntityGraph()
         graph.lines[9] = Line(9)
         graph.surfaces[9] = Surface(9)
-        pr.regularize_identities(t, mesh, graph, {5: {1 - t.rank}})
+        mesh.shared = {5: {1 - t.rank}}
+        pr.regularize_identities(t, mesh, graph)
 
     with pytest.raises(TopologyError):
         run_workers(2, worker)
@@ -374,8 +377,7 @@ def test_select_unidirectional_fixture():
     def worker(t):
         st = booted(t, make_fig_mesh, three_part_layout, h=0.25)
         ranking = pr.compute_ranking(t, st.mesh.n_elems())
-        sel = pr.select_elements_to_send(st.mesh, st.mesh.shared, ranking,
-                                        t.rank)
+        sel = pr.select_elements_to_send(st.mesh, ranking, t.rank)
         return list(ranking), {j: sorted(v) for j, v in sel.items()}
 
     res = run_workers(3, worker)
@@ -393,8 +395,7 @@ def test_scatter_moves_triple_node_into_bulk():
     def worker(t):
         st = booted(t, make_fig_mesh, three_part_layout, h=0.25)
         ranking = pr.compute_ranking(t, st.mesh.n_elems())
-        sel = pr.select_elements_to_send(st.mesh, st.mesh.shared, ranking,
-                                        t.rank)
+        sel = pr.select_elements_to_send(st.mesh, ranking, t.rank)
         rep = pr.scatter_mesh(t, st, sel)
         mesh = st.mesh
         chains = {}
@@ -435,8 +436,7 @@ def test_scatter_conservation_iterated():
         snapshots = []
         for _ in range(30):
             ranking = pr.compute_ranking(t, st.mesh.n_elems())
-            sel = pr.select_elements_to_send(st.mesh, st.mesh.shared,
-                                            ranking, t.rank)
+            sel = pr.select_elements_to_send(st.mesh, ranking, t.rank)
             pr.scatter_mesh(t, st, sel)
             mesh = st.mesh
             snapshots.append(dict(
