@@ -89,12 +89,12 @@ def decode_arrays(buf: bytes, layout) -> list[np.ndarray]:
             raise WireError(f"array {i} is {code!r} with {got} columns and "
                             f"{rows} rows, layout wants {dtype.str} with "
                             f"{cols} columns")
-        shape = (rows, cols) if cols else (rows,)
-        spans.append((start, shape))
-        start += rows * max(cols, 1) * dtype.itemsize
+        n = rows * max(cols, 1)
+        spans.append((start, n, (rows, cols) if cols else (rows,)))
+        start += n * dtype.itemsize
         if start > len(buf):
             raise WireError(f"truncated data of array {i}")
     if start != len(buf):
         raise WireError("trailing bytes after the last array")
-    return [np.frombuffer(buf, dtype, np.prod(shape), offset).reshape(shape)
-            for (offset, shape), (dtype, _) in zip(spans, layout)]
+    return [np.frombuffer(buf, dtype, n, offset).reshape(shape)
+            for (offset, n, shape), (dtype, _) in zip(spans, layout)]
