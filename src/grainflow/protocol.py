@@ -19,9 +19,11 @@ here keep the partitions telling one consistent story:
   shared nodes land on exactly the same coordinates everywhere.
 
 Determinism is load-bearing throughout: iteration follows sorted ids,
-every payload is one ``wire`` frame of typed arrays over raw doubles, and
+every payload of every collective is one ``wire`` frame of typed arrays
+over raw doubles, decoded against the layout its receiver expects, and
 every decision that touches a shared node is made from data all owners
-possess.
+possess.  A frame that decodes but says what no correct peer could say
+raises ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ class ProtocolError(RuntimeError):
 def detect_shared_nodes(transport: Transport, mesh: Mesh) -> None:
     """Rebuild the shared-node registry ``mesh.shared`` from global node ids.
 
-    Each worker publishes its live ids; intersection with every other
-    worker's set yields the co-owner lists.  The registry is symmetric by
-    construction.
+    Each worker publishes its live ids as an ``IDS`` frame; intersection
+    with every other worker's set yields the co-owner lists.  The registry
+    is symmetric by construction.
     """
     mine = mesh.alive_nodes().astype(np.int64)
     blobs = transport.all_gather(encode_arrays([mine], IDS))
@@ -85,7 +87,8 @@ def detect_shared_nodes(transport: Transport, mesh: Mesh) -> None:
 
 def compute_ranking(transport: Transport, n_local_elems: int) -> np.ndarray:
     """Per-part rank values: fewer elements means a higher value, ties go to
-    the lower part number.  Identical on every worker."""
+    the lower part number.  Identical on every worker; the element counts
+    travel as one-value ``IDS`` frames."""
     counts = _gather_one(transport, n_local_elems, IDS)
     order = sorted(range(len(counts)), key=lambda p: (counts[p], p))
     ranking = np.zeros(len(counts), dtype=np.int64)
@@ -95,7 +98,9 @@ def compute_ranking(transport: Transport, n_local_elems: int) -> np.ndarray:
 
 
 def _gather_one(transport: Transport, value, layout) -> list:
-    """Every worker's ``value``, all-gathered as a one-value frame."""
+    """Every worker's ``value``, all-gathered as a one-value frame of
+    ``layout``; a frame holding any other number of values raises
+    ``ProtocolError``."""
     values = []
     for src, blob in enumerate(transport.all_gather(
             encode_arrays([[value]], layout))):
@@ -769,11 +774,11 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
 
     The cascade of ``remesh.settle_offsets``, run collectively: positions
     from a per-node factor on the full offset, factors halving at nodes of
-    inverted elements.  Every round the workers agree on the shared nodes
-    to damp, so co-owners keep identical factors and identical coordinates;
-    a round with purely private flips still reports a sentinel to keep
-    everyone in the loop.  If the budget runs out, all workers revert
-    together.
+    inverted elements.  Every round the workers agree, through one ``IDS``
+    frame each, on the shared nodes to damp, so co-owners keep identical
+    factors and identical coordinates; a round with purely private flips
+    still reports a sentinel to keep everyone in the loop.  If the budget
+    runs out, all workers revert together.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     base = mesh.pos[nodes].copy()
@@ -826,8 +831,9 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     Junctions decompose before stencils are gathered: a peel can rewire a
     chain within stencil reach, and co-owners must fit identical knots.
     The motion substep count is chosen so no node travels more than
-    ``MAX_TRAVEL_FRAC * h`` per substep, with velocities recomputed between
-    substeps.  A single worker runs the same steps: it shares no nodes,
+    ``MAX_TRAVEL_FRAC * h`` per substep, from the fastest speed of any
+    worker (a one-value ``SPEEDS`` frame), with velocities recomputed
+    between substeps.  A single worker runs the same steps: it shares no nodes,
     sends no elements and its second maintenance pass has nothing in scope.
     """
     if mobility is None:

@@ -129,7 +129,7 @@ def test_every_layout_roundtrips_any_row_count(data):
             rows = data.draw(st.integers(0, 6))
             shape = (rows, cols) if cols else (rows,)
             if dtype.kind == "f":
-                values = st.floats(allow_nan=False, width=64)
+                values = st.floats(width=64)
             else:
                 values = st.integers(-2**63, 2**63 - 1)
             flat = data.draw(st.lists(values, min_size=int(np.prod(shape)),
