@@ -295,6 +295,17 @@ def lnodes_by_line(mesh: Mesh) -> dict[int, list[int]]:
     return out
 
 
+def bare_lines(pa: Point, pb: Point, members) -> list[int]:
+    """Ids, ascending, of the lines joining two points that carry no L-node.
+
+    ``members`` maps a line id to its L-nodes or to their count; a line it
+    does not name has none.
+    """
+    la = {lid for k, lid in pa.connections if k == KIND_LINE}
+    return sorted(lid for k, lid in pb.connections
+                  if k == KIND_LINE and lid in la and not members.get(lid))
+
+
 @dataclass
 class Segment:
     """One connected run of a line inside this partition.

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.constants import R as GAS_CONSTANT
 
 from .entities import (KIND_LINE, KIND_POINT, EntityGraph, Line, Point,
-                       is_interface_edge, lnodes_by_line)
+                       bare_lines, is_interface_edge, lnodes_by_line)
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
                    Mesh, TopologyError, _tri_area, is_domain_boundary_edge)
 from .remesh import MIN_AREA
@@ -82,17 +82,6 @@ def _patch_ring(mesh: Mesh, nid: int) -> tuple[list[int], bool]:
         if nxt is None or nxt == ring[0]:
             return ring, nxt == ring[0]
         ring.append(nxt)
-
-
-def _zero_lnode_line(graph: EntityGraph, members: dict[int, list[int]],
-                     pa: Point, pb: Point) -> int:
-    """The direct line joining two junctions, carrying no chain nodes."""
-    common = {lid for k, lid in pa.connections if k == KIND_LINE} \
-        & {lid for k, lid in pb.connections if k == KIND_LINE}
-    direct = sorted(l for l in common if not members.get(l))
-    if not direct:
-        raise TopologyError(f"no direct line between points {pa.id}, {pb.id}")
-    return direct[0]
 
 
 def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
@@ -175,8 +164,12 @@ def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
             if int(mesh.nxt[x]) == nid:
                 mesh.nxt[x] = m_nid
         else:
-            moved_lids.add(_zero_lnode_line(graph, members, p_pt,
-                                            graph.point_at(mesh, x)))
+            x_pt = graph.point_at(mesh, x)
+            direct = bare_lines(p_pt, x_pt, members)
+            if not direct:
+                raise TopologyError(
+                    f"no direct line between points {p_pt.id}, {x_pt.id}")
+            moved_lids.add(direct[0])
     p_pt.connections -= {(KIND_LINE, l) for l in moved_lids}
     p_pt.connections.add((KIND_LINE, lid_new))
     graph.points[m_pid] = Point(m_pid, m_nid,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entities import (EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE,
-                       Line, Point, Surface, line_segments,
+                       Line, Point, Surface, bare_lines, line_segments,
                        lnodes_by_line, reconstruct_entities, rename_entities,
                        tag_nodes)
 from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
@@ -43,7 +43,7 @@ from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
 from .partitioning import restrict_mesh
-from .remesh import BACKOFF_MIN_FACTOR, BACKOFF_ROUNDS, MIN_AREA, remesh_pass
+from .remesh import remesh_pass, settle_offsets
 from .state import IdAllocator, RemeshParams, SimState
 from .transport import Transport
 from .wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SPEEDS,
@@ -511,12 +511,8 @@ def _junction_arms_shared(mesh, graph, members, nid):
             arms[m] = mesh.pos[m]
         elif int(mesh.topo[m]) == PNODE and pt is not None:
             other = graph.points.get(int(mesh.entity[m]))
-            if other is None:
-                continue
-            for kind, lid in pt.connections & other.connections:
-                if kind == KIND_LINE and not members.get(lid):
-                    arms[m] = mesh.pos[m]
-                    break
+            if other is not None and bare_lines(pt, other, members):
+                arms[m] = mesh.pos[m]
         if m not in arms and is_domain_boundary_edge(mesh, nid, m):
             arms[m] = mesh.pos[m]
     return [(m, arms[m]) for m in sorted(arms)]
@@ -772,50 +768,28 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
                   delta: np.ndarray) -> int:
     """Advance nodes by ``delta``, backing off wherever elements would flip.
 
-    The cascade of ``remesh.settle_offsets``, run collectively: positions
-    from a per-node factor on the full offset, factors halving at nodes of
-    inverted elements.  Every round the workers agree, through one ``IDS``
-    frame each, on the shared nodes to damp, so co-owners keep identical
-    factors and identical coordinates; a round with purely private flips
-    still reports a sentinel to keep everyone in the loop.  If the budget
-    runs out, all workers revert together.
+    The back-off of ``remesh.settle_offsets``, agreed collectively: every
+    round each worker sends one ``IDS`` frame naming its flipped shared
+    nodes, plus a ``NULL_ID`` sentinel whenever anything flipped, and damps
+    its own flipped nodes and every node a peer named.  Co-owners so keep
+    identical factors and identical coordinates, every worker runs the same
+    rounds, and if the budget runs out all of them revert together.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    base = mesh.pos[nodes].copy()
-    f = np.ones(len(nodes))
-    lookup = np.full(len(mesh.node_alive), -1, dtype=np.int64)
-    if len(nodes):
-        lookup[nodes] = np.arange(len(nodes))
-    eids = mesh.alive_elems()
-    for _ in range(BACKOFF_ROUNDS):
-        mesh.pos[nodes] = base + f[:, None] * delta
-        areas = mesh.areas(eids)
-        bad = eids[areas <= MIN_AREA]
-        idx = lookup[mesh.tri[bad]] if len(bad) else np.zeros(0, dtype=np.int64)
-        idx = np.unique(idx[idx >= 0])
+    at = {n: i for i, n in enumerate(nodes.tolist())}
+
+    def agree(idx, flipped):
         notices = [n for n in nodes[idx].tolist() if mesh.is_shared(n)]
-        if len(bad) and len(notices) < len(bad) + len(idx):
-            # private flips (or flips with no moving node) still force a round
+        if flipped:
             notices.append(NULL_ID)
         gathered = transport.all_gather(encode_arrays([notices], IDS))
-        lists = [decode_arrays(b, IDS)[0].tolist() for b in gathered]
-        if all(len(l) == 0 for l in lists):
-            break
-        damp = set(int(i) for i in idx)
-        for l in lists:
-            for n in l:
-                if n != NULL_ID and 0 <= n < len(lookup):
-                    j = int(lookup[n])
-                    if j >= 0:
-                        damp.add(j)
-        if damp:
-            di = np.fromiter(damp, dtype=np.int64)
-            f[di] *= 0.5
-            f[f < BACKOFF_MIN_FACTOR] = 0.0
-    else:
-        mesh.pos[nodes] = base
-        return 0
-    return int(np.count_nonzero(f))
+        heard = np.concatenate([decode_arrays(b, IDS)[0] for b in gathered])
+        if len(heard) == 0:
+            return None
+        named = [at[n] for n in heard.tolist() if n in at]
+        return np.union1d(idx, np.asarray(named, dtype=np.int64))
+
+    return settle_offsets(mesh, nodes, delta, agree)
 
 
 # -- the increment -----------------------------------------------------------
@@ -933,12 +907,12 @@ def _line_visible(sub, full, full_graph, members_full, nid, lid):
     """Whether a junction's line connection is realized inside this slice:
     either a chain-adjacent member node came along, or the line is a bare
     junction-to-junction edge and the far junction came along."""
+    pt = full_graph.points[int(sub.entity[nid])]
     for m in sub.node_neighbors(nid):
         if sub.topo[m] == LNODE and int(sub.entity[m]) == lid \
                 and nid in (int(full.prv[m]), int(full.nxt[m])):
             return True
-        if (sub.topo[m] == PNODE and not members_full.get(lid)
-                and (KIND_LINE, lid)
-                in full_graph.points[int(sub.entity[m])].connections):
+        if sub.topo[m] == PNODE and lid in bare_lines(
+                pt, full_graph.points[int(sub.entity[m])], members_full):
             return True
     return False

@@ -31,8 +31,8 @@ import numpy as np
 from collections import deque
 from itertools import combinations
 
-from .entities import (EntityGraph, KIND_LINE, is_interface_edge,
-                       lnodes_by_line)
+from .entities import (EntityGraph, KIND_LINE, bare_lines,
+                       is_interface_edge, lnodes_by_line)
 from .mesh import (Mesh, NULL_ID, PNODE, LNODE, SNODE, BND_NONE, BND_CORNER,
                    BND_TANGENT_X, BND_TANGENT_Y, TopologyError,
                    is_domain_boundary_edge, _tri_area)
@@ -91,10 +91,8 @@ class RemeshCtx:
         pb = g.points.get(int(self.mesh.entity[b]))
         if pa is None or pb is None:
             return None
-        la = {lid for k, lid in pa.connections if k == KIND_LINE}
-        lb = {lid for k, lid in pb.connections if k == KIND_LINE}
-        zero = [lid for lid in la & lb if self.line_count.get(lid, 0) == 0]
-        return min(zero) if zero else None
+        zero = bare_lines(pa, pb, self.line_count)
+        return zero[0] if zero else None
 
     def drop_elems(self, eids) -> list[int]:
         """Remove elements; returns surface ids that ran out of elements."""
@@ -344,11 +342,7 @@ def _fuse_duplicate_lines(ctx: RemeshCtx, pnode: int) -> None:
         yt = graph.points.get(int(mesh.entity[y]))
         if yt is None:
             continue
-        mine = {lid for k, lid in pt.connections if k == KIND_LINE}
-        both = sorted(lid for k, lid in yt.connections
-                      if k == KIND_LINE and lid in mine
-                      and ctx.line_count.get(lid, 0) == 0)
-        for lid in both[1:]:
+        for lid in bare_lines(pt, yt, ctx.line_count)[1:]:
             graph.lines.pop(lid, None)
             pt.connections.discard((KIND_LINE, lid))
             yt.connections.discard((KIND_LINE, lid))
@@ -486,14 +480,22 @@ def collapse_sweep(ctx: RemeshCtx, scope: set[int] | None = None) -> PassStats:
 
 # -- node relaxation ---------------------------------------------------------
 
-def settle_offsets(mesh: Mesh, nodes: np.ndarray, delta: np.ndarray) -> int:
+def settle_offsets(mesh: Mesh, nodes: np.ndarray, delta: np.ndarray,
+                   agree=None) -> int:
     """Apply node offsets, backing off wherever an element would flip.
 
     Offsets halve (and finally zero) for nodes of inverted elements until the
     whole mesh is valid again; with all offsets zeroed the original valid
-    mesh returns, so the loop always terminates.
+    mesh returns, so the loop ends within ``BACKOFF_ROUNDS`` or reverts every
+    node.  Returns how many nodes kept a nonzero offset.
+
+    ``agree(idx, flipped)``, when given, is called once per round with the
+    indices (into ``nodes``) of this worker's nodes on inverted elements and
+    whether any element flipped; it returns the indices to damp, agreed with
+    every co-owner, or ``None`` once no worker has a flip.  Every worker
+    then runs the same number of rounds, even with nothing to move.
     """
-    if len(nodes) == 0:
+    if len(nodes) == 0 and agree is None:
         return 0
     base = mesh.pos[nodes].copy()
     f = np.ones(len(nodes))
@@ -502,12 +504,15 @@ def settle_offsets(mesh: Mesh, nodes: np.ndarray, delta: np.ndarray) -> int:
     eids = mesh.alive_elems()
     for _ in range(BACKOFF_ROUNDS):
         mesh.pos[nodes] = base + f[:, None] * delta
-        areas = _tri_area(mesh.pos[mesh.tri[eids]])
-        bad = eids[areas <= MIN_AREA]
-        if len(bad) == 0:
-            break
+        bad = eids[mesh.areas(eids) <= MIN_AREA]
         idx = lookup[mesh.tri[bad]]
         idx = np.unique(idx[idx >= 0])
+        if agree is not None:
+            idx = agree(idx, len(bad) > 0)
+            if idx is None:
+                break
+        elif len(bad) == 0:
+            break
         f[idx] *= 0.5
         f[f < BACKOFF_MIN_FACTOR] = 0.0
     else:

@@ -4,13 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from grainflow.mesh import (
     NULL_ID, PNODE, LNODE, SNODE, TopologyError, build_mesh,
 )
 from grainflow.entities import (
-    KIND_POINT, KIND_LINE, KIND_SURFACE,
-    tag_nodes, reconstruct_entities,
+    KIND_POINT, KIND_LINE, KIND_SURFACE, Point,
+    bare_lines, tag_nodes, reconstruct_entities,
     lnodes_by_line, line_segments, recanonicalize_lines, rename_entities,
     is_interface_edge,
 )
@@ -251,6 +252,19 @@ def test_rename_lines_updates_connections(strip_mesh):
     p = g.point_at(m, 4)
     assert (KIND_LINE, 99) in p.connections
     assert (KIND_LINE, lid) not in p.connections
+
+
+@given(st.sets(st.integers(0, 8)), st.sets(st.integers(0, 8)),
+       st.dictionaries(st.integers(0, 8), st.integers(0, 3)))
+def test_bare_lines_counts_and_members_agree(la, lb, counts):
+    # a surface connection sharing a line's id must not make it common
+    pa = Point(0, 0, {(KIND_LINE, l) for l in la}
+               | {(KIND_SURFACE, l) for l in lb})
+    pb = Point(1, 1, {(KIND_LINE, l) for l in lb})
+    members = {lid: list(range(10, 10 + c)) for lid, c in counts.items()}
+    got = bare_lines(pa, pb, counts)
+    assert got == bare_lines(pa, pb, members) == bare_lines(pb, pa, counts)
+    assert got == sorted(l for l in la & lb if counts.get(l, 0) == 0)
 
 
 def test_rename_points(strip_mesh):

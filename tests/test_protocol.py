@@ -14,6 +14,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grainflow import geometry
 from grainflow import protocol as pr
@@ -857,11 +858,12 @@ def test_np1_velocities_bitwise_sequential():
 
 # -- collective movement -----------------------------------------------------
 
-def test_parallel_move_matches_sequential_single_worker():
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-0.25, 0.25), min_size=40, max_size=40))
+def test_parallel_move_matches_sequential_single_worker(offsets):
     full, _ = reconstructed(make_strip())
     nodes = full.alive_nodes()[:20]
-    rng = np.random.default_rng(3)
-    delta = rng.normal(scale=0.08, size=(len(nodes), 2))
+    delta = np.reshape(offsets, (len(nodes), 2))
 
     ref, _ = reconstructed(make_strip())
     n_ref = settle_offsets(ref, nodes, delta.copy())

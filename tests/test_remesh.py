@@ -12,7 +12,8 @@ from grainflow.entities import (KIND_LINE, lnodes_by_line,
                                 recanonicalize_lines)
 from grainflow.mesh import (BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, LNODE,
                             NULL_ID, PNODE, SNODE, build_mesh)
-from grainflow.remesh import (RemeshCtx, settle_offsets, collapse_sweep,
+from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets,
+                              collapse_sweep,
                               element_qualities, glide_line, remesh_pass,
                               smooth_bulk, split_edge, split_sweep,
                               swap_sweep, try_collapse, try_swap)
@@ -372,6 +373,27 @@ def test_settle_zeroes_blocked_direction():
     p0 = mesh.pos[n].copy()
     settle_offsets(mesh, np.array([n]), np.array([[0.1, 0.1]]))
     assert np.array_equal(mesh.pos[n], p0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True),
+       st.lists(st.floats(-0.5, 0.5), min_size=32, max_size=32),
+       st.booleans())
+def test_settle_ends_valid_or_reverted(picks, offsets, wreck):
+    mesh, _ = reconstructed(grid_mesh(5, 5))
+    interior = [j * 6 + i for j in range(1, 5) for i in range(1, 5)]
+    nodes = np.array(sorted(interior[k] for k in picks))
+    delta = np.reshape(offsets, (16, 2))[:len(nodes)]
+    if wreck:
+        # a corner on its neighbor: an element no offset can restore
+        mesh.pos[0] = mesh.pos[1]
+    before = mesh.pos.copy()
+    moved = settle_offsets(mesh, nodes, delta)
+    if not (mesh.areas() > MIN_AREA).all():
+        assert moved == 0
+        assert np.array_equal(mesh.pos, before)
+    assert not wreck or moved == 0
+    assert 0 <= moved <= len(nodes)
 
 
 def test_smooth_regular_grid_is_stationary():
