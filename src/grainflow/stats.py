@@ -106,15 +106,6 @@ def stats_row(r: StatsRecord) -> list:
             + [int(c) for c in r.elements])
 
 
-def write_stats_csv(path, records: list[StatsRecord]) -> None:
-    if not records:
-        raise ValueError("no records")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(stats_header(len(records[0].elements)))
-        w.writerows(stats_row(r) for r in records)
-
-
 def read_stats_csv(path) -> list[StatsRecord]:
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
@@ -151,12 +142,3 @@ TIMINGS_HEADER = ["inc", "wall_s"]
 
 def timings_row(inc: int, wall_s: float) -> list:
     return [inc, repr(float(wall_s))]
-
-
-def write_timings_csv(path, wall_s: list[float]) -> None:
-    """Measured per-increment wall times; kept out of stats.csv so repeated
-    runs stay byte-identical there."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TIMINGS_HEADER)
-        w.writerows(timings_row(i, t) for i, t in enumerate(wall_s, start=1))

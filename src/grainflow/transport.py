@@ -1,10 +1,10 @@
 """Message transport between partitions.
 
-The exchange protocol only needs three collectives: an all-to-all of byte
-payloads, an all-gather, and a barrier.  Everything above this layer is
-written against that contract, so the same code runs on the in-process
-backend (worker threads inside one interpreter, used for tests and for
-running on a single machine) and on MPI.
+The exchange protocol only needs two collectives: an all-to-all of byte
+payloads and an all-gather.  Everything above this layer is written against
+that contract, so the same code runs on the in-process backend (worker
+threads inside one interpreter, used for tests and for running on a single
+machine) and on MPI.
 
 Determinism contract: both collectives return payloads indexed by source
 rank, so the result order never depends on scheduling.
@@ -36,9 +36,6 @@ class Transport(Protocol):
 
     def all_gather(self, payload: bytes) -> list[bytes]:
         """Every rank contributes one payload; all receive the full list."""
-        ...
-
-    def barrier(self) -> None:
         ...
 
 
@@ -102,10 +99,6 @@ class InProcessTransport:
         ex._sync()
         return out  # type: ignore[return-value]
 
-    def barrier(self) -> None:
-        self._ex._sync()
-        self._ex._sync()
-
 
 def run_workers(n_parts: int, fn: Callable[[Transport], T]) -> list[T]:
     """Run ``fn(transport)`` for ranks ``0 .. n_parts - 1`` and collect the
@@ -167,6 +160,3 @@ class MpiTransport:
 
     def all_gather(self, payload: bytes) -> list[bytes]:
         return self._comm.allgather(payload)
-
-    def barrier(self) -> None:
-        self._comm.Barrier()

@@ -1,6 +1,8 @@
 """Statistics oracles: grain-size summaries, histograms, load-balance and
 efficiency indices, and the CSV round-trips."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ def test_merge_areas_sums_split_contributions():
         np.testing.assert_allclose(merged, areas[order], rtol=1e-13)
 
 
+def _write_rows(path, rows):
+    """Write rows the way the runner streams them: one csv row each."""
+    with open(path, "w", newline="") as f:
+        for row in rows:
+            csv.writer(f).writerow(row)
+
+
 def test_stats_csv_round_trip(tmp_path):
     recs = [
         gs.StatsRecord(t=0.0, grains=12, mean_size_mm=0.021, erom=0.0,
@@ -108,7 +117,7 @@ def test_stats_csv_round_trip(tmp_path):
                        inc_wall_s=0.0, elements=(401, 383)),
     ]
     path = tmp_path / "stats.csv"
-    gs.write_stats_csv(path, recs)
+    _write_rows(path, [gs.stats_header(2)] + [gs.stats_row(r) for r in recs])
     assert gs.read_stats_csv(path) == recs
     header = path.read_text().splitlines()[0]
     assert header == "t,grains,mean_size_mm,erom,inc_wall_s,elements_p0,elements_p1"
@@ -120,8 +129,9 @@ def test_stats_csv_bytes_deterministic(tmp_path):
             for i in range(4)]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    gs.write_stats_csv(a, recs)
-    gs.write_stats_csv(b, recs)
+    for path in (a, b):
+        _write_rows(path, [gs.stats_header(1)]
+                    + [gs.stats_row(r) for r in recs])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -138,7 +148,8 @@ def test_hist_csv_round_trip(tmp_path):
 
 def test_timings_csv(tmp_path):
     path = tmp_path / "timings.csv"
-    gs.write_timings_csv(path, [0.5, 0.25])
+    _write_rows(path, [gs.TIMINGS_HEADER, gs.timings_row(1, 0.5),
+                       gs.timings_row(2, 0.25)])
     lines = path.read_text().splitlines()
     assert lines[0] == "inc,wall_s"
     assert lines[1] == "1,0.5"

@@ -38,7 +38,6 @@ def test_back_to_back_collectives_do_not_bleed():
         for round_no in range(20):
             tag = f"{round_no}:{tp.rank}".encode()
             seen.append(tp.all_gather(tag))
-            tp.barrier()
             seen.append(tp.all_to_all([tag] * tp.size))
         return seen
 
@@ -52,8 +51,8 @@ def test_all_to_all_arity_check():
     def body(tp):
         with pytest.raises(TransportError, match="payloads"):
             tp.all_to_all([b""])
-        tp.barrier()
-        return True
+        # the rejected call left the exchange usable
+        return tp.all_gather(b"") == [b""] * tp.size
 
     assert run_workers(2, body) == [True, True]
 
