@@ -1016,6 +1016,27 @@ def test_parallel_increment_two_workers_golden(tmp_path, monkeypatch):
                  for r in range(2)) == GOLDEN_STATE_SHA256_2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: _prune_sent keeps the chain links of L-nodes next to "
+    "a junction it removes"))
+def test_scatter_leaves_no_link_to_a_node_not_held(tmp_path, monkeypatch):
+    stale = []
+
+    def checked_scatter(transport, state, selections):
+        report = pr.scatter_mesh(transport, state, selections)
+        mesh = state.mesh
+        for n in mesh.alive_nodes().tolist():
+            for m in (int(mesh.prv[n]), int(mesh.nxt[n])):
+                if m != NULL_ID and not mesh.alive_node(m):
+                    stale.append((transport.rank, n, m))
+        return report
+
+    monkeypatch.setattr(pr, "scatter_mesh", checked_scatter)
+    run(RunConfig(domain=0.15, grains=12, h=0.004, dt=DT, increments=2,
+                  n_parts=2, seed=0, out=str(tmp_path)))
+    assert stale == []
+
+
 def test_parallel_increment_two_workers_consistent():
     def worker(t):
         st = booted(t, make_tjunction, x_split)
