@@ -13,10 +13,9 @@ from grainflow.entities import (KIND_LINE, lnodes_by_line,
 from grainflow.mesh import (BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, LNODE,
                             NULL_ID, PNODE, SNODE, build_mesh)
 from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets,
-                              collapse_sweep,
-                              element_qualities, glide_line, remesh_pass,
-                              smooth_bulk, split_edge, split_sweep,
-                              swap_sweep, try_collapse, try_swap)
+                              collapse_sweep, element_qualities, glide_line,
+                              remesh_pass, smooth_bulk, split_edge,
+                              split_sweep, swap_sweep, try_collapse, try_swap)
 from grainflow.state import IdAllocator, RemeshParams, SimState
 
 from .conftest import equilateral_mesh, grid_mesh, reconstructed
