@@ -5,11 +5,6 @@ first search from seeds spread far apart, then boundary elements are traded
 until the patch sizes balance.  It is deliberately simple and fully
 deterministic; anything smarter can be plugged in through the partition file
 format (one ``elem_id part_rank`` pair per line).
-
-``restrict_mesh`` cuts one partition out of a full mesh while keeping global
-ids and per-node data.  Chain links that point at nodes the partition does
-not hold are nulled, exactly the state a worker would be in had it received
-its elements over the wire.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from collections import deque
 
 import numpy as np
 
-from .mesh import Mesh, NULL_ID, LNODE, dual_graph
+from .mesh import Mesh, NULL_ID, dual_graph
 
 BALANCE_FRAC = 0.05
 
@@ -143,29 +138,6 @@ def _pick_trade(parts, adj, elems, sizes):
                 dst = min(targets, key=lambda t: (sizes[t], t))
                 return e, dst
     return None
-
-
-def restrict_mesh(mesh: Mesh, parts: np.ndarray, rank: int) -> Mesh:
-    """The sub-mesh of one part, with global ids and node data intact.
-
-    A part holding every live element gets ``mesh`` itself back, not a copy.
-    """
-    eids = mesh.alive_elems()
-    mine = eids[parts[eids] == rank]
-    if len(mine) == len(eids):
-        return mesh
-    nids = np.unique(mesh.tri[mine])
-    topo = mesh.topo[nids]
-    # a chain link survives only when the referenced node came along too
-    links = {}
-    for attr in ("prv", "nxt"):
-        ref = getattr(mesh, attr)[nids]
-        links[attr] = np.where((topo == LNODE) & np.isin(ref, nids),
-                               ref, NULL_ID)
-    return Mesh.from_arrays(nids, mesh.pos[nids], mine, mesh.tri[mine],
-                            mesh.surf[mine], topo=topo,
-                            entity=mesh.entity[nids], bnd=mesh.bnd[nids],
-                            **links)
 
 
 def save_partition(path, parts: np.ndarray) -> None:

@@ -11,7 +11,8 @@ here keep the partitions telling one consistent story:
   node agree on the entity names at it,
 * unidirectional element selection and scattering, which migrate boundary
   layers toward less loaded workers while splicing chains and junction
-  connections back together on the receiving side,
+  connections back together on the receiving side; the bootstrap hands
+  each worker its first slice through the same receiving code,
 * stencil completion, in which every owner pushes its co-owners, unasked
   and in one exchange, the few positions they need so curvature at a
   shared node comes out bit-identical on every owner,
@@ -29,6 +30,7 @@ raises ``ProtocolError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,9 +44,8 @@ from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
                    is_domain_boundary_edge)
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
-from .partitioning import restrict_mesh
 from .remesh import remesh_pass, settle_offsets
-from .state import IdAllocator, RemeshParams, SimState
+from .state import ID_KINDS, IdAllocator, RemeshParams, SimState, id_ceilings
 from .transport import Transport
 from .wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SPEEDS,
                    SUPPORT, TRIPLETS, decode_arrays, encode_arrays)
@@ -437,6 +438,9 @@ def _splice_link(mesh, n, attr, target):
 
 
 def _apply_point(mesh, graph, nid, pid, conns):
+    """Create or confirm the point at junction ``nid`` and connect it to
+    each line whose arm this worker holds: the anchor is a live node that
+    shares an element with the junction."""
     pt = graph.points.get(pid)
     if pt is None:
         pt = graph.points[pid] = Point(pid, nid)
@@ -446,7 +450,8 @@ def _apply_point(mesh, graph, nid, pid, conns):
     for lid, anchor in conns:
         if lid == NULL_ID:
             raise ProtocolError(f"point {pid} connection without a line")
-        if anchor != NULL_ID and mesh.alive_node(anchor):
+        if anchor != NULL_ID and mesh.alive_node(anchor) \
+                and mesh.n2e[nid] & mesh.n2e[anchor]:
             graph.lines.setdefault(lid, Line(lid))
             pt.connections.add((KIND_LINE, lid))
 
@@ -850,69 +855,47 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
 
 # -- bootstrap ---------------------------------------------------------------
 
-def bootstrap_state(transport: Transport, full_mesh: Mesh,
-                    parts: np.ndarray, h: float) -> SimState:
-    """Carve this worker's partition out of an identically built full mesh.
+def bootstrap_state(transport: Transport,
+                    build: Callable[[], tuple[Mesh, np.ndarray]],
+                    h: float) -> SimState:
+    """Give every worker its partition of a mesh that rank 0 alone builds.
 
-    Every worker constructs the same tessellation, tags it, reconstructs the
-    same entity graph and applies the same partition, so all ids agree from
-    the start; the restriction just keeps the local slice, with chain links
-    cut at the boundary exactly as a scatter would leave them; a part that
-    holds every element evolves the full mesh itself, not a copy.  New ids
-    of every kind start above the highest the full mesh and graph use, in
-    this rank's stride.  Identity regularization still runs once at the end
-    as a cross-check of the exchange plumbing.
+    Only rank 0 calls ``build``, which returns the starting mesh and the
+    part of each element, indexed by element id.  Rank 0 tags the mesh,
+    reconstructs its entity graph and sends each worker its elements in
+    one ``MIGRATION`` frame, which the worker applies to an empty mesh and
+    graph as a scatter applies the elements it receives: chain links are
+    cut at nodes the slice does not hold.  When rank 0's part holds every
+    element, as in a one-worker run, it keeps the built mesh and graph
+    themselves rather than a copy.  New ids of every kind start above the
+    highest the built mesh and graph use, in this rank's stride; rank 0
+    sends these ceilings as one ``IDS`` frame.  Identity regularization
+    still runs once at the end as a cross-check of the exchange plumbing.
     """
-    tag_nodes(full_mesh)
-    full_graph = reconstruct_entities(full_mesh)
-    alloc = IdAllocator.above(full_mesh, full_graph, transport.rank,
-                              transport.size)
-
-    sub = restrict_mesh(full_mesh, parts, transport.rank)
-    graph = EntityGraph()
-
-    eids = sub.alive_elems()
-    for sid in (np.unique(sub.surf[eids]) if len(eids) else ()):
-        src = full_graph.surfaces[int(sid)]
-        graph.surfaces[int(sid)] = Surface(int(sid), src.orig_tag)
-
-    members_full = lnodes_by_line(full_mesh)
-    for n in sub.alive_nodes():
-        n = int(n)
-        if sub.topo[n] != PNODE:
-            continue
-        pid = int(sub.entity[n])
-        conns = {(KIND_LINE, lid)
-                 for kind, lid in full_graph.points[pid].connections
-                 if kind == KIND_LINE
-                 and _line_visible(sub, full_mesh, full_graph,
-                                   members_full, n, lid)}
-        graph.points[pid] = Point(pid, n, conns)
-
-    lids = {int(sub.entity[n]) for n in sub.alive_nodes()
-            if sub.topo[n] == LNODE}
-    lids |= {lid for pt in graph.points.values()
-             for kind, lid in pt.connections if kind == KIND_LINE}
-    for lid in sorted(lids):
-        graph.lines[lid] = Line(lid)
-
-    state = SimState(mesh=sub, graph=graph, alloc=alloc,
+    mesh, graph = Mesh(), EntityGraph()
+    payloads = [_migration_frame(mesh, graph, [])] * transport.size
+    ceilings: list[int] = []
+    if transport.rank == 0:
+        full, parts = build()
+        tag_nodes(full)
+        full_graph = reconstruct_entities(full)
+        ceilings = id_ceilings(full, full_graph)
+        eids = full.alive_elems()
+        held = [eids[parts[eids] == j] for j in range(transport.size)]
+        if len(held[0]) == len(eids):
+            mesh, graph, held[0] = full, full_graph, []
+        payloads = [_migration_frame(full, full_graph, e) for e in held]
+    frame = transport.all_to_all(payloads)[0]
+    _apply_frames(mesh, graph, [_read_migration(frame, 0)], ScatterReport())
+    (tops,) = decode_arrays(
+        transport.all_gather(encode_arrays([ceilings], IDS))[0], IDS)
+    if len(tops) != len(ID_KINDS):
+        raise ProtocolError(f"worker 0 sent {len(tops)} id ceilings, "
+                            f"not {len(ID_KINDS)}")
+    alloc = IdAllocator(dict(zip(ID_KINDS, tops.tolist())), transport.rank,
+                        transport.size)
+    state = SimState(mesh=mesh, graph=graph, alloc=alloc,
                      params=RemeshParams(h=h))
-    detect_shared_nodes(transport, sub)
-    regularize_identities(transport, sub, graph)
+    detect_shared_nodes(transport, mesh)
+    regularize_identities(transport, mesh, graph)
     return state
-
-
-def _line_visible(sub, full, full_graph, members_full, nid, lid):
-    """Whether a junction's line connection is realized inside this slice:
-    either a chain-adjacent member node came along, or the line is a bare
-    junction-to-junction edge and the far junction came along."""
-    pt = full_graph.points[int(sub.entity[nid])]
-    for m in sub.node_neighbors(nid):
-        if sub.topo[m] == LNODE and int(sub.entity[m]) == lid \
-                and nid in (int(full.prv[m]), int(full.nxt[m])):
-            return True
-        if sub.topo[m] == PNODE and lid in bare_lines(
-                pt, full_graph.points[int(sub.entity[m])], members_full):
-            return True
-    return False

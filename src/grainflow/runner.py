@@ -1,13 +1,13 @@
 """Experiment driver: one configuration in, a directory of artifacts out.
 
-A run tessellates the starting structure, evolves it for a fixed number of
-increments and emits stats.csv, timings.csv plus VTK snapshots and grain
-size histograms at the configured cadence.  Every run goes through the same
-worker body, a sequential run being the one-worker case: all workers
-execute it in lockstep and rank 0 alone touches the disk.  Each output step
-is one all-gather of a ``wire`` frame: every worker's per-grain areas and
-element count (layout ``AREAS``), plus its live mesh arrays when a
-snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files
+A run tessellates the starting structure on rank 0, evolves it for a fixed
+number of increments and emits stats.csv, timings.csv plus VTK snapshots and
+grain size histograms at the configured cadence.  Every run goes through
+the same worker body, a sequential run being the one-worker case: all
+workers execute it in lockstep and rank 0 alone touches the disk.  Each
+output step is one all-gather of a ``wire`` frame: every worker's per-grain
+areas and element count (layout ``AREAS``), plus its live mesh arrays when
+a snapshot is due (``SNAPSHOT``).  Rank 0 merges them and writes the files
 straight from the arrays; each stats.csv and timings.csv row is flushed as
 it is made, so a run that raises leaves the record of what it finished.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import os
 import time
+import traceback
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -162,16 +163,17 @@ class _Emitter:
 # -- worker body -------------------------------------------------------------
 
 def _run_worker(transport: Transport, cfg: RunConfig) -> None:
-    full = _build_initial(cfg)
-    if cfg.partition_file:
+    def build():
+        full = _build_initial(cfg)
+        if not cfg.partition_file:
+            return full, initial_partition(full, cfg.n_parts)
         try:
-            parts = load_partition(cfg.partition_file, full, cfg.n_parts)
+            return full, load_partition(cfg.partition_file, full, cfg.n_parts)
         except ValueError as exc:
             raise ConfigError(f"{cfg.partition_file}: {exc}") from None
-    else:
-        parts = initial_partition(full, cfg.n_parts)
-    state = bootstrap_state(transport, full, parts, cfg.h)
-    del full, parts  # with several parts, only this rank's slice stays alive
+
+    # only rank 0 builds; every worker keeps its slice and nothing more
+    state = bootstrap_state(transport, build, cfg.h)
     mesh = state.mesh
     mobility = reduced_mobility(temperature=cfg.temperature)
     emit = _Emitter(cfg) if transport.rank == 0 else None
@@ -214,4 +216,11 @@ def run(cfg: RunConfig) -> None:
         if transport.size != cfg.n_parts:
             raise ConfigError(
                 f"launched with {transport.size} ranks but n_parts={cfg.n_parts}")
-        _run_worker(transport, cfg)
+        try:
+            _run_worker(transport, cfg)
+        except BaseException:
+            # peers may be blocked in a collective this rank will never
+            # join; Abort ends this process too, so report the error first
+            traceback.print_exc()
+            transport.abort()
+            raise

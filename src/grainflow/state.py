@@ -6,8 +6,8 @@ n, so workers never hand out clashing values.  Every kind starts above the
 highest id in use.  In a parallel run that ceiling must agree on every
 worker before local allocation begins: migration frames carry ids from
 other workers, and a locally reused id could collide with a node that
-migrates in later.  The bootstrap takes it from the full mesh, which every
-worker builds alike.
+migrates in later.  In the bootstrap, rank 0 alone builds the starting
+mesh, takes the ceilings from it and sends them to every worker.
 """
 
 from __future__ import annotations
@@ -21,6 +21,17 @@ from .mesh import Mesh
 
 KIND_NODE = "N"
 KIND_ELEM = "E"
+
+# the kinds in the order their ceilings travel
+ID_KINDS = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE, KIND_SURFACE)
+
+
+def id_ceilings(mesh: Mesh, graph: EntityGraph) -> list[int]:
+    """One past the highest id ``mesh`` and ``graph`` use, per kind of
+    ``ID_KINDS``."""
+    in_use = (mesh.alive_nodes(), mesh.alive_elems(), list(graph.points),
+              list(graph.lines), list(graph.surfaces))
+    return [int(np.max(ids, initial=-1)) + 1 for ids in in_use]
 
 
 class IdAllocator:
@@ -41,11 +52,7 @@ class IdAllocator:
               stride: int = 1) -> "IdAllocator":
         """Allocator whose every kind starts past the highest id that
         ``mesh`` and ``graph`` use."""
-        in_use = {KIND_NODE: mesh.alive_nodes(), KIND_ELEM: mesh.alive_elems(),
-                  KIND_POINT: list(graph.points), KIND_LINE: list(graph.lines),
-                  KIND_SURFACE: list(graph.surfaces)}
-        return cls({k: int(np.max(ids, initial=-1)) + 1
-                    for k, ids in in_use.items()}, rank, stride)
+        return cls(dict(zip(ID_KINDS, id_ceilings(mesh, graph))), rank, stride)
 
     def take(self, kind: str) -> int:
         out = self._next[kind]

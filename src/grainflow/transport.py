@@ -160,3 +160,8 @@ class MpiTransport:
 
     def all_gather(self, payload: bytes) -> list[bytes]:
         return self._comm.allgather(payload)
+
+    def abort(self) -> None:
+        """End every rank of the communicator, this one included, so no
+        peer stays blocked in a collective after a rank failed."""
+        self._comm.Abort(1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from grainflow.partitioning import initial_partition
+from grainflow.protocol import bootstrap_state
 from grainflow.transport import run_workers
 
 
@@ -12,6 +14,21 @@ def one_rank(fn):
     a sequential run executes; returns what ``fn`` returns."""
     (out,) = run_workers(1, fn)
     return out
+
+
+def bootstrapped(make_mesh, n_parts, h=0.125):
+    """Every worker's state after bootstrapping ``make_mesh()`` split by the
+    built-in partitioner, and the mesh rank 0 built (tagged in place)."""
+    built = []
+
+    def worker(t):
+        def build():
+            built.append(make_mesh())
+            return built[0], initial_partition(built[0], n_parts)
+        return bootstrap_state(t, build, h)
+
+    states = run_workers(n_parts, worker)
+    return states, built[0]
 
 
 def parse_vtk(path):

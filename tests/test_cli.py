@@ -60,6 +60,48 @@ def test_backend_names(tmp_path, monkeypatch):
                           out=str(tmp_path / f"mpi{n_parts}")))
 
 
+class StubMpi:
+    """Rank 0 of ``size`` in place of ``MpiTransport``, which needs mpi4py.
+    With one rank the collectives loop back; with more, no peer ever
+    answers, so a collective fails the test."""
+
+    def __init__(self, size):
+        self.rank, self.size, self.aborts = 0, size, 0
+
+    def all_to_all(self, payloads):
+        assert self.size == 1, "a collective with absent peers"
+        return list(payloads)
+
+    def all_gather(self, payload):
+        assert self.size == 1, "a collective with absent peers"
+        return [payload]
+
+    def abort(self):
+        self.aborts += 1
+
+
+def test_mpi_run_aborts_when_a_rank_fails(tmp_path, monkeypatch):
+    # only the abort wiring is tested here, not a run under real MPI
+    loop = StubMpi(1)
+    monkeypatch.setattr(runner, "MpiTransport", lambda: loop)
+    run(RunConfig(**SMOKE, backend="mpi", out=str(tmp_path / "mpi")))
+    run(RunConfig(**SMOKE, out=str(tmp_path / "inproc")))
+    for name in ("stats.csv", f"snapshot_{SMOKE['increments']:04d}.vtk"):
+        assert ((tmp_path / "mpi" / name).read_bytes()
+                == (tmp_path / "inproc" / name).read_bytes())
+    assert loop.aborts == 0
+    # a bad partition file fails rank 0 alone, before the first collective:
+    # without the abort its peers would wait in the bootstrap for ever
+    half = StubMpi(2)
+    monkeypatch.setattr(runner, "MpiTransport", lambda: half)
+    bad = tmp_path / "parts.txt"
+    bad.write_text("999999 0\n")
+    with pytest.raises(ConfigError, match="999999 is not a live element"):
+        run(RunConfig(**SMOKE, backend="mpi", n_parts=2,
+                      partition_file=str(bad), out=str(tmp_path / "bad")))
+    assert half.aborts == 1
+
+
 def test_sequential_smoke_run(tmp_path):
     out = tmp_path / "run"
     run(RunConfig(**SMOKE, out=str(out)))

@@ -8,12 +8,11 @@ from grainflow.mesh import (
     dual_graph, write_vtk, is_domain_boundary_edge,
     BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, LNODE, NULL_ID, SNODE,
 )
-from grainflow.partitioning import initial_partition, restrict_mesh
 from grainflow.tessellation import tessellate
 from grainflow.wire import MESH, decode_arrays, encode_arrays
 
 from .conftest import grid_mesh
-from .helpers import parse_vtk
+from .helpers import bootstrapped, parse_vtk
 
 
 def fan_mesh():
@@ -172,15 +171,15 @@ def test_vtk_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("n_parts", [2, 3])
 def test_vtk_of_merged_pieces_matches_whole(tmp_path, n_parts):
-    # worker pieces travel as framed arrays and are concatenated as they
-    # arrive; writing the merge must give the unsplit mesh's bytes
-    mesh, _, _ = tessellate(np.random.default_rng(5), 0.1, 0.1, 8, 0.004)
+    # bootstrapped worker pieces travel as framed arrays and are
+    # concatenated as they arrive; writing the merge must give the bytes of
+    # the mesh rank 0 built
+    states, mesh = bootstrapped(lambda: tessellate(
+        np.random.default_rng(5), 0.1, 0.1, 8, 0.004)[0], n_parts)
     whole = tmp_path / "whole.vtk"
     write_vtk(mesh.live_arrays(), whole)
-    parts = initial_partition(mesh, n_parts)
-    pieces = [decode_arrays(encode_arrays(
-        restrict_mesh(mesh, parts, r).live_arrays(), MESH), MESH)
-        for r in range(n_parts)]
+    pieces = [decode_arrays(encode_arrays(st.mesh.live_arrays(), MESH), MESH)
+              for st in states]
     assert sum(len(p[0]) for p in pieces) > mesh.n_nodes()  # shared nodes
     for order in (pieces, pieces[::-1]):
         merged = tuple(np.concatenate(c) for c in zip(*order))

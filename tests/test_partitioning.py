@@ -1,14 +1,16 @@
-"""Dual-graph partitioner: balance, coverage, determinism, restriction."""
+"""Dual-graph partitioner: balance, coverage, determinism, and the slices
+the bootstrap hands each worker."""
 
 import numpy as np
 import pytest
 
 from grainflow.mesh import NULL_ID, LNODE, build_mesh
 from grainflow.partitioning import (
-    initial_partition, load_partition, restrict_mesh, save_partition,
+    initial_partition, load_partition, save_partition,
 )
 
-from .conftest import grid_mesh, reconstructed
+from .conftest import grid_mesh
+from .helpers import bootstrapped
 
 
 def coverage(mesh, parts):
@@ -23,8 +25,9 @@ def test_single_part_takes_everything():
     parts = initial_partition(mesh, 1)
     sizes = coverage(mesh, parts)
     assert sizes.tolist() == [mesh.n_elems()]
-    # the only part keeps the mesh itself rather than a second copy
-    assert restrict_mesh(mesh, parts, 0) is mesh
+    # the only worker keeps the mesh it built rather than a second copy
+    (state,), built = bootstrapped(lambda: grid_mesh(5, 5), 1)
+    assert state.mesh is built
 
 
 def test_two_triangles_two_parts():
@@ -65,11 +68,11 @@ def test_too_many_parts_rejected():
 
 
 def test_restriction_covers_exactly_once():
-    mesh = grid_mesh(9, 9, tag_fn=lambda cx, cy: int(cx > 0.5))
-    parts = initial_partition(mesh, 3)
+    states, mesh = bootstrapped(
+        lambda: grid_mesh(9, 9, tag_fn=lambda cx, cy: int(cx > 0.5)), 3)
     seen = []
-    for rank in range(3):
-        sub = restrict_mesh(mesh, parts, rank)
+    for state in states:
+        sub = state.mesh
         eids = sub.alive_elems()
         seen.extend(int(e) for e in eids)
         for e in eids:
@@ -86,10 +89,9 @@ def test_restriction_covers_exactly_once():
 
 
 def test_restriction_prunes_chain_links(strip_mesh):
-    mesh, _ = reconstructed(strip_mesh)
-    parts = initial_partition(mesh, 2)
-    for rank in range(2):
-        sub = restrict_mesh(mesh, parts, rank)
+    states, mesh = bootstrapped(lambda: strip_mesh, 2)
+    for state in states:
+        sub = state.mesh
         for n in sub.alive_nodes():
             n = int(n)
             if sub.topo[n] != LNODE:

@@ -25,10 +25,11 @@ from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
 from grainflow.geometry import NATURAL, NOT_A_KNOT, PERIODIC
 from grainflow.mesh import LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError
 from grainflow.motion import reduced_mobility
+from grainflow.partitioning import initial_partition
 from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
                               try_collapse, try_swap)
 from grainflow.runner import RunConfig, run
-from grainflow.state import KIND_ELEM, KIND_NODE, RemeshParams
+from grainflow.state import ID_KINDS, KIND_ELEM, KIND_NODE, RemeshParams
 from grainflow.transport import run_workers
 from grainflow.wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, SPEEDS,
                            SUPPORT, decode_arrays, encode_arrays)
@@ -60,8 +61,10 @@ def parts_by(mesh: Mesh, fn) -> np.ndarray:
 
 
 def booted(transport, make_mesh, part_fn, h=H):
-    full = make_mesh()
-    return pr.bootstrap_state(transport, full, parts_by(full, part_fn), h)
+    def build():
+        full = make_mesh()
+        return full, parts_by(full, part_fn)
+    return pr.bootstrap_state(transport, build, h)
 
 
 def x_split(cx, cy):
@@ -1076,8 +1079,7 @@ def test_parallel_increment_two_workers_consistent():
 
 def test_bootstrap_consistent_ids_need_no_renames():
     def worker(t):
-        full = make_tjunction()
-        st = pr.bootstrap_state(t, full, parts_by(full, x_split), H)
+        st = booted(t, make_tjunction, x_split)
         renames = pr.regularize_identities(t, st.mesh, st.graph)
         return renames, sorted(st.graph.surfaces), sorted(st.graph.lines)
 
@@ -1090,8 +1092,7 @@ def test_bootstrap_covers_full_mesh():
     full_ref, graph_ref = reconstructed(make_tjunction())
 
     def worker(t):
-        full = make_tjunction()
-        st = pr.bootstrap_state(t, full, parts_by(full, x_split), H)
+        st = booted(t, make_tjunction, x_split)
         return (sorted(int(e) for e in st.mesh.alive_elems()),
                 sorted(st.graph.points),
                 {pid: sorted(p.connections)
@@ -1124,6 +1125,105 @@ def test_bootstrap_ids_stride_disjoint():
             assert 0 <= ids[0] - ceilings[kind] < 2
             assert ids[0] % 2 == rank
             assert ids[1:] == [ids[0] + 2, ids[0] + 4]
+
+
+# sha256 per rank of the state the bootstrap leaves on each worker for the
+# GOLDEN_RUN mesh, recorded when every worker still built the full mesh and
+# cut its own slice out of it
+BOOT_SHA256 = {
+    2: ("9e0ad5cba2b876233c69a797d203cb855da54297d6f7668f1932fd87409f97e4",
+        "179c3a9d155c432e9c8ab5e7e1078ba7c09c2baf02a30791af223347403e55d9"),
+    3: ("ee58eefc719a50ecc7aed0e8a3220efef29ef19157bf6629dbc8b03a7696bb53",
+        "f6f276e177cc5c573c6a66e8b15f69ce72926984ca30ef09b69d7551b8dedfe3",
+        "eb811db4c81a746cbc7b516d8b7a6816853a3d90f9909c0ae1a0077fc8639f5e"),
+}
+
+
+def boot_sha256(state) -> str:
+    """Digest of the live node ids and node data, the elements, each point
+    with its node and sorted connections, the line and surface ids and the
+    next id of each kind, which it takes from ``state.alloc``."""
+    mesh, graph = state.mesh, state.graph
+    nodes, elems = mesh.alive_nodes(), mesh.alive_elems()
+    arrays = [nodes, mesh.pos[nodes]]
+    arrays += [getattr(mesh, a)[nodes]
+               for a in ("topo", "entity", "bnd", "prv", "nxt")]
+    arrays += [elems, mesh.tri[elems], mesh.surf[elems]]
+    arrays += [[pid, pt.node, *(lid for _, lid in sorted(pt.connections))]
+               for pid, pt in sorted(graph.points.items())]
+    arrays += [sorted(graph.lines), sorted(graph.surfaces),
+               [state.alloc.take(k) for k in ID_KINDS]]
+    h = hashlib.sha256()
+    for a in map(np.asarray, arrays):
+        dtype = np.float64 if a.dtype.kind == "f" else np.int64
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_parts", [2, 3])
+def test_bootstrap_state_pinned(n_parts):
+    cfg = RunConfig(**GOLDEN_RUN, n_parts=n_parts)
+    builders = []
+
+    def worker(t):
+        def build():
+            builders.append(t.rank)
+            full = runner._build_initial(cfg)
+            return full, initial_partition(full, n_parts)
+        return boot_sha256(pr.bootstrap_state(t, build, cfg.h))
+
+    assert tuple(run_workers(n_parts, worker)) == BOOT_SHA256[n_parts]
+    assert builders == [0]
+
+
+def test_bootstrap_build_error_reaches_the_caller():
+    def build():
+        raise RuntimeError("no mesh")
+
+    with pytest.raises(RuntimeError, match="no mesh") as info:
+        run_workers(3, lambda t: pr.bootstrap_state(t, build, H))
+    assert info.type is RuntimeError  # not the peers' TransportAborted
+    assert not [th for th in threading.enumerate()
+                if th.name.startswith("part-")]
+
+
+class SentByRank0:
+    """Rank 1 of two, to which rank 0 sends an empty slice and the id
+    ceilings ``ceilings``."""
+    rank, size = 1, 2
+
+    def __init__(self, ceilings):
+        self.ceilings = ceilings
+
+    def all_to_all(self, payloads):
+        return [encode_arrays([[]] * 4, MIGRATION), payloads[1]]
+
+    def all_gather(self, payload):
+        return [encode_arrays([self.ceilings], IDS), payload]
+
+
+def test_bootstrap_rejects_a_ceiling_frame_of_other_length():
+    def build():
+        raise AssertionError("only rank 0 builds")
+
+    for ceilings in ([], [1, 2, 3, 4], [1, 2, 3, 4, 5, 6]):
+        with pytest.raises(pr.ProtocolError,
+                           match=f"worker 0 sent {len(ceilings)} id"):
+            pr.bootstrap_state(SentByRank0(ceilings), build, H)
+
+
+def test_point_connects_only_through_a_held_arm():
+    # the anchor of line 7 is held, but not the edge joining it to the
+    # junction: the arm is not realized here, so the point does not name it
+    mesh, graph = Mesh(), EntityGraph()
+    mesh.add_node(1, (0.0, 0.0), topo=PNODE, entity=50)
+    for n, xy in ((2, (1.0, 0.0)), (3, (0.0, 1.0)), (4, (2.0, 1.0))):
+        mesh.add_node(n, xy)
+    mesh.add_element(0, (1, 2, 3), 0)
+    mesh.add_node(5, (3.0, 0.0), topo=LNODE, entity=7)
+    mesh.add_element(1, (2, 5, 4), 0)
+    pr._apply_point(mesh, graph, 1, 50, [(8, 2), (7, 5)])
+    assert graph.points[50].connections == {(KIND_LINE, 8)}
 
 
 def test_walk_outward_stops_at_junction():

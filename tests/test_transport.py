@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from grainflow.transport import (
-    InProcessExchange, TransportAborted, TransportError, run_workers,
+    InProcessExchange, MpiTransport, TransportAborted, TransportError,
+    run_workers,
 )
 
 
@@ -121,3 +122,25 @@ def test_failed_worker_state_freed_without_gc(failing_rank):
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_mpi_abort_ends_the_communicator():
+    # a stand-in for an mpi4py communicator: only the call into MPI is
+    # checked, not a real abort
+    class Comm:
+        def __init__(self):
+            self.codes = []
+
+        def Get_rank(self):
+            return 1
+
+        def Get_size(self):
+            return 3
+
+        def Abort(self, code):
+            self.codes.append(code)
+
+    comm = Comm()
+    tp = MpiTransport(comm)
+    tp.abort()
+    assert (tp.rank, tp.size, comm.codes) == (1, 3, [1])
