@@ -54,7 +54,6 @@ class Line:
 class Surface:
     """Grain entity; its elements are found via ``Mesh.surf``."""
     id: int
-    orig_tag: int = NULL_ID
 
 
 class EntityGraph:
@@ -151,7 +150,7 @@ def _build_surfaces(mesh: Mesh, graph: EntityGraph) -> None:
         if seed in comp:
             continue
         sid = len(graph.surfaces)
-        graph.surfaces[sid] = Surface(sid, orig_tag=int(mesh.surf[seed]))
+        graph.surfaces[sid] = Surface(sid)
         tag = int(mesh.surf[seed])
         stack = [seed]
         comp[seed] = sid
@@ -389,59 +388,3 @@ def recanonicalize_lines(mesh: Mesh) -> None:
                 raise TopologyError(
                     f"interface edge ({a}, {b}) joins different lines")
     _link_runs(mesh, adj)
-
-
-def rename_entities(mesh: Mesh, graph: EntityGraph, kind: str,
-                    mapping: dict[int, int]) -> None:
-    """Apply id renames of one entity kind, merging on collision.
-
-    When two local fragments are renamed to the same id they become one
-    entity; chains that do not touch inside this partition simply stay as
-    separate segments of it.
-    """
-    if not mapping:
-        return
-    if kind == KIND_SURFACE:
-        store = graph.surfaces
-        sel = mesh.surf
-        node_mask = mesh.topo == SNODE
-    elif kind == KIND_LINE:
-        store = graph.lines
-        sel = None
-        node_mask = mesh.topo == LNODE
-    else:
-        store = graph.points
-        sel = None
-        node_mask = mesh.topo == PNODE
-
-    if sel is not None:
-        lookup = sel.copy()
-        for old, new in mapping.items():
-            lookup[sel == old] = new
-        alive = mesh.elem_alive
-        mesh.surf[alive] = lookup[alive]
-    node_mask = node_mask & mesh.node_alive
-    ent = mesh.entity
-    upd = ent.copy()
-    for old, new in mapping.items():
-        upd[(ent == old) & node_mask] = new
-    mesh.entity[node_mask] = upd[node_mask]
-
-    for old, new in sorted(mapping.items()):
-        if old == new or old not in store:
-            continue
-        obj = store.pop(old)
-        if new not in store:
-            obj.id = new
-            store[new] = obj
-        # else: merged into the existing entity; nothing else to carry over
-
-    if kind in (KIND_LINE, KIND_POINT):
-        for pt in graph.points.values():
-            conns = set()
-            for ck, cid in pt.connections:
-                if ck == kind and cid in mapping:
-                    conns.add((ck, mapping[cid]))
-                else:
-                    conns.add((ck, cid))
-            pt.connections = conns

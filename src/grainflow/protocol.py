@@ -7,8 +7,9 @@ and every collective just hands a worker its own payload back.  The pieces
 here keep the partitions telling one consistent story:
 
 * a shared-node registry built from global node ids,
-* identity regularization, which renames entities until all co-owners of a
-  node agree on the entity names at it,
+* a shared-node agreement check, in which co-owners compare the class and
+  entity of every node they share in one exchange; rank 0 names every
+  entity before the bootstrap splits the mesh, so nothing is renamed,
 * unidirectional element selection and scattering, which migrate boundary
   layers toward less loaded workers while splicing chains and junction
   connections back together on the receiving side; the bootstrap hands
@@ -30,27 +31,25 @@ raises ``ProtocolError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
 
-from .entities import (EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE,
-                       Line, Point, Surface, bare_lines, line_segments,
-                       lnodes_by_line, reconstruct_entities, rename_entities,
-                       tag_nodes)
+from .entities import (EntityGraph, KIND_LINE, Line, Point, Surface,
+                       bare_lines, line_segments, lnodes_by_line,
+                       reconstruct_entities, tag_nodes)
 from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
                        spline_curvature)
-from .mesh import (LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError,
+from .mesh import (LNODE, NULL_ID, PNODE, Mesh, TopologyError,
                    is_domain_boundary_edge)
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
 from .remesh import remesh_pass, settle_offsets
 from .state import ID_KINDS, IdAllocator, RemeshParams, SimState, id_ceilings
 from .transport import Transport
-from .wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, PAIRS, SPEEDS,
-                   SUPPORT, TRIPLETS, decode_arrays, encode_arrays)
-
-_KIND_CLASS = {KIND_POINT: PNODE, KIND_LINE: LNODE, KIND_SURFACE: SNODE}
+from .wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, SPEEDS, SUPPORT,
+                   TRIPLETS, decode_arrays, encode_arrays)
 
 # the stencil support mode that belongs to each node class
 _SUPPORT_MODE = {LNODE: MODE_CHAIN, PNODE: MODE_ARMS}
@@ -112,88 +111,37 @@ def _gather_one(transport: Transport, value, layout) -> list:
     return values
 
 
-# -- identity regularization -------------------------------------------------
+# -- shared-node agreement ---------------------------------------------------
 
-def regularize_identities(transport: Transport, mesh: Mesh,
-                          graph: EntityGraph):
-    """Agree on entity names across partitions.
+def check_shared_agreement(transport: Transport, mesh: Mesh) -> None:
+    """Check that all co-owners of every shared node agree on what it is.
 
-    For every node of the shared-node registry ``mesh.shared``, each owner
-    tells all co-owners which entity it couples to the node; the resulting
-    identity correspondences are broadcast and chased into groups, and
-    every group renames to its lowest identity.  Running it twice is a
-    no-op the second time.
+    Each worker sends every co-owner one ``TRIPLETS`` frame with a (node,
+    class, entity) row per node the two share, in ascending node order.
+    The registry ``mesh.shared`` is symmetric, so a correct peer sends back
+    exactly the rows it was sent; the first row that differs raises
+    ``ProtocolError``.  A shared node without an entity raises
+    ``TopologyError``.
     """
-    renames: dict[str, dict[int, int]] = {}
-    for kind in (KIND_POINT, KIND_LINE, KIND_SURFACE):
-        renames[kind] = _regularize_kind(transport, mesh, graph, kind)
-    return renames
-
-
-def _regularize_kind(transport, mesh, graph, kind):
-    cls = _KIND_CLASS[kind]
-    outbox: list[list[tuple[int, int]]] = [[] for _ in range(transport.size)]
+    outbox: list[list[tuple[int, int, int]]] = [
+        [] for _ in range(transport.size)]
     for n in sorted(mesh.shared):
-        if int(mesh.topo[n]) != cls:
-            continue
         ident = int(mesh.entity[n])
         if ident == NULL_ID:
             raise TopologyError(f"shared node {n} carries no entity identity")
         for j in sorted(mesh.shared[n]):
-            outbox[j].append((n, ident))
+            outbox[j].append((n, int(mesh.topo[n]), ident))
 
-    received = transport.all_to_all([encode_arrays([o], PAIRS)
+    received = transport.all_to_all([encode_arrays([o], TRIPLETS)
                                      for o in outbox])
-    trips: list[tuple[int, int, int]] = []
     for src, blob in enumerate(received):
-        (pairs,) = decode_arrays(blob, PAIRS)
-        for n, ident in pairs.tolist():
-            if not mesh.alive_node(n) or int(mesh.topo[n]) != cls:
-                raise TopologyError(
-                    f"worker {src} sees node {n} as a different class")
-            trips.append((int(mesh.entity[n]), ident, src))
-
-    gathered = transport.all_gather(encode_arrays([trips], TRIPLETS))
-    universe: list[tuple[int, int, int]] = []
-    for blob in gathered:
-        universe.extend(map(tuple, decode_arrays(blob, TRIPLETS)[0].tolist()))
-
-    treated = [False] * len(universe)
-    mapping: dict[int, int] = {}
-    for start in range(len(universe)):
-        if treated[start]:
-            continue
-        same = _chase_group(universe, treated, start)
-        if not treated[start]:
-            # a consistent exchange always contains the mirror triplet
-            raise ProtocolError(
-                "unmatched identity triplet (local, remote, part) "
-                f"{universe[start]}; the exchange is corrupt")
-        lowest = min(ident for ident, _part in same)
-        for ident, part in same:
-            if part == transport.rank and ident != lowest:
-                mapping[ident] = lowest
-    if mapping:
-        rename_entities(mesh, graph, kind, mapping)
-    return mapping
-
-
-def _chase_group(universe, treated, start):
-    """Depth-first closure over identity coincidences.
-
-    Follows each (local, remote, part) triplet's remote identity through
-    the whole gathered list; every matched triplet contributes (remote
-    identity, the part using it)."""
-    same: list[tuple[int, int]] = []
-    stack = [universe[start]]
-    while stack:
-        want = stack.pop()[1]
-        for i, (local, remote, part) in enumerate(universe):
-            if not treated[i] and local == want:
-                treated[i] = True
-                same.append((remote, part))
-                stack.append(universe[i])
-    return same
+        (rows,) = decode_arrays(blob, TRIPLETS)
+        for got, want in zip_longest(map(tuple, rows.tolist()), outbox[src]):
+            if got != want:
+                node = min(r[0] for r in (got, want) if r is not None)
+                raise ProtocolError(
+                    f"workers {transport.rank} and {src} disagree at node "
+                    f"{node}: (node, class, entity) {want} here, {got} there")
 
 
 # -- element selection -------------------------------------------------------
@@ -869,8 +817,9 @@ def bootstrap_state(transport: Transport,
     element, as in a one-worker run, it keeps the built mesh and graph
     themselves rather than a copy.  New ids of every kind start above the
     highest the built mesh and graph use, in this rank's stride; rank 0
-    sends these ceilings as one ``IDS`` frame.  Identity regularization
-    still runs once at the end as a cross-check of the exchange plumbing.
+    sends these ceilings as one ``IDS`` frame.  Every worker then builds
+    the shared-node registry and checks that co-owners agree on each
+    shared node's class and entity.
     """
     mesh, graph = Mesh(), EntityGraph()
     payloads = [_migration_frame(mesh, graph, [])] * transport.size
@@ -897,5 +846,5 @@ def bootstrap_state(transport: Transport,
     state = SimState(mesh=mesh, graph=graph, alloc=alloc,
                      params=RemeshParams(h=h))
     detect_shared_nodes(transport, mesh)
-    regularize_identities(transport, mesh, graph)
+    check_shared_agreement(transport, mesh)
     return state

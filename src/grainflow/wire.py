@@ -29,8 +29,7 @@ _DESCRIPTOR = struct.Struct("<3sBq")   # dtype string, columns, rows
 _I64 = np.dtype("<i8")
 _F64 = np.dtype("<f8")
 
-# identity regularization: (node, identity), then (local, remote, part)
-PAIRS = ((_I64, 2),)
+# shared-node agreement: one (node, class, entity) row per shared node
 TRIPLETS = ((_I64, 3),)
 # ids: shared-node candidates, an element count, or movement back-off
 # notices, where NULL_ID marks flips only the sender has

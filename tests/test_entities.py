@@ -1,4 +1,4 @@
-"""Node classes, entity reconstruction, line tracing and renaming."""
+"""Node classes, entity reconstruction and line tracing."""
 
 import hashlib
 
@@ -12,7 +12,7 @@ from grainflow.mesh import (
 from grainflow.entities import (
     KIND_POINT, KIND_LINE, KIND_SURFACE, Point,
     bare_lines, tag_nodes, reconstruct_entities,
-    lnodes_by_line, line_segments, recanonicalize_lines, rename_entities,
+    lnodes_by_line, line_segments, recanonicalize_lines,
     is_interface_edge,
 )
 from grainflow.state import KIND_ELEM, KIND_NODE, IdAllocator
@@ -24,6 +24,14 @@ from .conftest import grid_mesh, reconstructed
 def nid_at(m, x, y):
     d = np.linalg.norm(m.pos[m.alive_nodes()] - (x, y), axis=1)
     return int(m.alive_nodes()[np.argmin(d)])
+
+
+def surface_tags(m, g, tags):
+    """(surface id, element tag) per surface, sorted; ``tags`` is a copy of
+    ``m.surf`` taken before reconstruction renumbered the surfaces."""
+    eids = m.alive_elems()
+    return sorted((sid, int(tags[eids[m.surf[eids] == sid][0]]))
+                  for sid in g.surfaces)
 
 
 def test_stride_counter():
@@ -60,12 +68,13 @@ def test_single_grain_square():
 
 
 def test_strip_reconstruction(strip_mesh):
+    tags = strip_mesh.surf.copy()
     m, g = reconstructed(strip_mesh)
     assert len(g.surfaces) == 2
     assert len(g.lines) == 7
     assert len(g.points) == 6
-    # the two grains keep their original tags on the Surface records
-    assert sorted(s.orig_tag for s in g.surfaces.values()) == [0, 1]
+    # each grain is one surface of one original tag
+    assert sorted(t for _, t in surface_tags(m, g, tags)) == [0, 1]
     # interface chain x = 0.5 runs bottom P to top P through 7 L-nodes
     lid = int(m.entity[nid_at(m, 0.5, 0.5)])
     members = lnodes_by_line(m)[lid]
@@ -123,6 +132,7 @@ GOLDEN_RECONSTRUCTION = {
 @pytest.mark.parametrize("seed", sorted(GOLDEN_RECONSTRUCTION))
 def test_reconstruction_golden(seed):
     m, _, _ = tessellate(np.random.default_rng(seed), 0.2, 0.2, 30, 0.004)
+    tags = m.surf.copy()
     m, g = reconstructed(m)
     h = hashlib.sha256()
     for name in ("entity", "prv", "nxt", "topo", "surf"):
@@ -131,7 +141,7 @@ def test_reconstruction_golden(seed):
         sorted((pid, p.node, sorted(p.connections))
                for pid, p in g.points.items()),
         sorted(g.lines),
-        sorted((sid, s.orig_tag) for sid, s in g.surfaces.items()),
+        surface_tags(m, g, tags),
     )).encode())
     assert h.hexdigest() == GOLDEN_RECONSTRUCTION[seed]
 
@@ -233,27 +243,6 @@ def test_is_interface_edge(strip_mesh):
     assert not is_interface_edge(m, 14, 23)  # interior edge of one grain
 
 
-def test_rename_surfaces_merges(strip_mesh):
-    m, g = reconstructed(strip_mesh)
-    snode = nid_at(m, 0.75, 0.5)
-    assert m.entity[snode] == 1
-    rename_entities(m, g, KIND_SURFACE, {1: 0})
-    assert set(np.unique(m.surf[m.alive_elems()])) == {0}
-    assert m.entity[snode] == 0
-    assert sorted(g.surfaces) == [0]
-
-
-def test_rename_lines_updates_connections(strip_mesh):
-    m, g = reconstructed(strip_mesh)
-    lid = int(m.entity[nid_at(m, 0.5, 0.5)])
-    rename_entities(m, g, KIND_LINE, {lid: 99})
-    assert int(m.entity[nid_at(m, 0.5, 0.5)]) == 99
-    assert 99 in g.lines and lid not in g.lines
-    p = g.point_at(m, 4)
-    assert (KIND_LINE, 99) in p.connections
-    assert (KIND_LINE, lid) not in p.connections
-
-
 @given(st.sets(st.integers(0, 8)), st.sets(st.integers(0, 8)),
        st.dictionaries(st.integers(0, 8), st.integers(0, 3)))
 def test_bare_lines_counts_and_members_agree(la, lb, counts):
@@ -265,11 +254,3 @@ def test_bare_lines_counts_and_members_agree(la, lb, counts):
     got = bare_lines(pa, pb, counts)
     assert got == bare_lines(pa, pb, members) == bare_lines(pb, pa, counts)
     assert got == sorted(l for l in la & lb if counts.get(l, 0) == 0)
-
-
-def test_rename_points(strip_mesh):
-    m, g = reconstructed(strip_mesh)
-    pid = int(m.entity[4])
-    rename_entities(m, g, KIND_POINT, {pid: 77})
-    assert int(m.entity[4]) == 77
-    assert g.points[77].node == 4

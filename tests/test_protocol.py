@@ -20,8 +20,7 @@ from grainflow import geometry
 from grainflow import protocol as pr
 from grainflow import runner
 from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
-                                KIND_SURFACE, Line, Point, Surface,
-                                line_segments, lnodes_by_line)
+                                KIND_SURFACE, line_segments, lnodes_by_line)
 from grainflow.geometry import NATURAL, NOT_A_KNOT, PERIODIC
 from grainflow.mesh import LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError
 from grainflow.motion import reduced_mobility
@@ -172,9 +171,9 @@ def test_one_value_message_of_other_length_raises():
     assert list(pr.compute_ranking(good, 50)) == [0, 1]
 
 
-# -- identity regularization -------------------------------------------------
+# -- shared-node agreement ---------------------------------------------------
 
-def _identity_mesh(nodes):
+def _node_mesh(nodes):
     """Node-only mesh: {nid: (topo, entity)} with positions irrelevant."""
     m = Mesh()
     for nid, (topo, ent) in sorted(nodes.items()):
@@ -182,185 +181,48 @@ def _identity_mesh(nodes):
     return m
 
 
-class _DSU:
-    def __init__(self):
-        self.up = {}
-
-    def find(self, x):
-        self.up.setdefault(x, x)
-        while self.up[x] != x:
-            self.up[x] = self.up[self.up[x]]
-            x = self.up[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.up[max(ra, rb)] = min(ra, rb)
-
-
-def synthetic_identity_case(seed):
-    """Random multi-part surface-identity scenario plus its expected names.
-
-    Returns (n_parts, per-part {nid: sid}, per-part registry, per-part
-    expected {old: new}).  The expectation comes from union-find over the
-    identity coincidences, entirely independent of the exchange machinery.
-    """
-    rng = np.random.default_rng(seed)
-    n_parts = int(rng.integers(2, 5))
-    n_entities = int(rng.integers(1, 21))
-    pool = rng.permutation(np.arange(1, 40))
-
-    owned: list[dict[int, int]] = [{} for _ in range(n_parts)]  # local sid set
-    couplings = []  # (part_a, id_a, part_b, id_b)
-    k = 0
-    for _ in range(n_entities):
-        owners = sorted(rng.choice(n_parts, int(rng.integers(1, n_parts + 1)),
-                                   replace=False))
-        ids = []
-        for p in owners:
-            sid = int(pool[k % len(pool)])
-            while sid in owned[p]:
-                sid = sid % 38 + 1
-            owned[p][sid] = 1
-            ids.append(sid)
-            k += 1
-        for (pa, ia), (pb, ib) in zip(zip(owners, ids), zip(owners[1:], ids[1:])):
-            couplings.append((pa, ia, pb, ib))
-        if len(owners) > 2 and rng.random() < 0.5:
-            couplings.append((owners[0], ids[0], owners[-1], ids[-1]))
-
-    nodes: list[dict[int, tuple[int, int]]] = [{} for _ in range(n_parts)]
-    registries: list[dict[int, set[int]]] = [{} for _ in range(n_parts)]
-    for nid, (pa, ia, pb, ib) in enumerate(couplings, start=1000):
-        nodes[pa][nid] = (SNODE, ia)
-        nodes[pb][nid] = (SNODE, ib)
-        registries[pa].setdefault(nid, set()).add(pb)
-        registries[pb].setdefault(nid, set()).add(pa)
-
-    # identity-value coincidence joins groups; an id that never sits on a
-    # coupling node is out of the exchange and so keeps its name
-    dsu = _DSU()
-    coupled: list[set[int]] = [set() for _ in range(n_parts)]
-    for pa, ia, pb, ib in couplings:
-        dsu.union(ia, ib)
-        coupled[pa].add(ia)
-        coupled[pb].add(ib)
-    expected = [{sid: dsu.find(sid) if sid in coupled[p] else sid
-                 for sid in sorted(owned[p])} for p in range(n_parts)]
-    return n_parts, nodes, registries, [sorted(p) for p in owned], expected
-
-
-def _run_surface_regularization(n_parts, nodes, registries, owned=None):
-    if owned is None:
-        owned = [sorted({sid for _t, sid in nodes[p].values()})
-                 for p in range(n_parts)]
-
+def check_agreement(nodes, registries):
+    """``check_shared_agreement`` on one node-only mesh per rank."""
     def worker(t):
-        mesh = _identity_mesh(nodes[t.rank])
-        graph = EntityGraph()
-        for sid in owned[t.rank]:
-            graph.surfaces[sid] = Surface(sid)
+        mesh = _node_mesh(nodes[t.rank])
         mesh.shared = registries[t.rank]
-        renames = pr.regularize_identities(t, mesh, graph)
-        ents = {nid: int(mesh.entity[nid]) for nid in nodes[t.rank]}
-        return renames[KIND_SURFACE], sorted(graph.surfaces), ents
+        pr.check_shared_agreement(t, mesh)
 
-    return run_workers(n_parts, worker)
+    run_workers(len(nodes), worker)
 
 
-def test_regularize_fig4_surface_groups():
-    # two groups spanning three parts, one part holding two names of a group
-    nodes = [
-        {100: (SNODE, 1), 102: (SNODE, 4), 103: (SNODE, 4)},
-        {100: (SNODE, 5), 101: (SNODE, 5), 102: (SNODE, 8),
-         103: (SNODE, 2), 104: (SNODE, 2)},
-        {101: (SNODE, 3), 104: (SNODE, 6)},
-    ]
-    registries = [
-        {100: {1}, 102: {1}, 103: {1}},
-        {100: {0}, 101: {2}, 102: {0}, 103: {0}, 104: {2}},
-        {101: {1}, 104: {1}},
-    ]
-    res = _run_surface_regularization(3, nodes, registries)
-    maps = [r[0] for r in res]
-    assert maps[0] == {4: 2}
-    assert maps[1] == {5: 1, 8: 2}
-    assert maps[2] == {3: 1, 6: 2}
-    for renamed, surfs, ents in res:
-        assert surfs == [1, 2]
-    assert res[0][2] == {100: 1, 102: 2, 103: 2}
-    assert res[1][2] == {100: 1, 101: 1, 102: 2, 103: 2, 104: 2}
-    assert res[2][2] == {101: 1, 104: 2}
+def test_agreement_class_mismatch_raises():
+    with pytest.raises(pr.ProtocolError,
+                       match="workers [01] and [01] disagree at node 5"):
+        check_agreement([{5: (LNODE, 9)}, {5: (SNODE, 9)}],
+                        [{5: {1}}, {5: {0}}])
 
 
-def test_regularize_matches_union_find_oracle():
-    for seed in range(40):
-        n_parts, nodes, registries, owned, expected = \
-            synthetic_identity_case(seed)
-        res = _run_surface_regularization(n_parts, nodes, registries, owned)
-        for rank, (_renames, surfs, ents) in enumerate(res):
-            want = expected[rank]
-            assert surfs == sorted(set(want.values())), f"seed {seed}"
-            for nid, sid in ents.items():
-                old = nodes[rank][nid][1]
-                assert sid == want[old], f"seed {seed} node {nid}"
+def test_agreement_entity_mismatch_names_the_first_node():
+    # three workers share nodes 100-103; rank 2 alone names the entities
+    # at 102 and 103 differently
+    rows = {100: (PNODE, 4), 101: (LNODE, 7), 102: (LNODE, 7),
+            103: (SNODE, 2)}
+    odd = {**rows, 102: (LNODE, 8), 103: (SNODE, 3)}
+    registries = [{n: {0, 1, 2} - {r} for n in rows} for r in range(3)]
+    check_agreement([rows, rows, rows], registries)
+    with pytest.raises(pr.ProtocolError,
+                       match="workers [02] and [02] disagree at node 102"):
+        check_agreement([rows, rows, odd], registries)
 
 
-def test_regularize_idempotent():
-    n_parts, nodes, registries, _owned, _ = synthetic_identity_case(7)
-
-    def worker(t):
-        mesh = _identity_mesh(nodes[t.rank])
-        graph = EntityGraph()
-        for _nid, (_topo, sid) in nodes[t.rank].items():
-            graph.surfaces.setdefault(sid, Surface(sid))
-        mesh.shared = registries[t.rank]
-        pr.regularize_identities(t, mesh, graph)
-        second = pr.regularize_identities(t, mesh, graph)
-        return second
-
-    for renames in run_workers(n_parts, worker):
-        assert all(not m for m in renames.values())
+def test_agreement_row_only_one_side_sends_raises():
+    # a registry that is not symmetric: rank 1 shares node 6, rank 0 not
+    with pytest.raises(pr.ProtocolError, match="disagree at node 6"):
+        check_agreement([{5: (LNODE, 9), 6: (LNODE, 9)},
+                         {5: (LNODE, 9), 6: (LNODE, 9)}],
+                        [{5: {1}}, {5: {0}, 6: {0}}])
 
 
-def test_regularize_all_kinds_and_connections():
-    # one shared node per kind; the line rename must also rewrite the
-    # junction's connection tuples
-    def worker(t):
-        mesh = _identity_mesh({
-            1: (PNODE, 20 + t.rank),
-            2: (LNODE, 10 + t.rank),
-            3: (SNODE, 30 + 2 * t.rank),
-        })
-        graph = EntityGraph()
-        graph.points[20 + t.rank] = Point(20 + t.rank, 1,
-                                          {(KIND_LINE, 10 + t.rank)})
-        graph.lines[10 + t.rank] = Line(10 + t.rank)
-        graph.surfaces[30 + 2 * t.rank] = Surface(30 + 2 * t.rank)
-        mesh.shared = {1: {1 - t.rank}, 2: {1 - t.rank}, 3: {1 - t.rank}}
-        pr.regularize_identities(t, mesh, graph)
-        return (sorted(graph.points), sorted(graph.lines),
-                sorted(graph.surfaces), graph.points[20].connections,
-                [int(e) for e in mesh.entity[[1, 2, 3]]])
-
-    for pts, lns, srf, conns, ents in run_workers(2, worker):
-        assert (pts, lns, srf) == ([20], [10], [30])
-        assert conns == {(KIND_LINE, 10)}
-        assert ents == [20, 10, 30]
-
-
-def test_regularize_class_mismatch_raises():
-    def worker(t):
-        mesh = _identity_mesh({5: (LNODE if t.rank == 0 else SNODE, 9)})
-        graph = EntityGraph()
-        graph.lines[9] = Line(9)
-        graph.surfaces[9] = Surface(9)
-        mesh.shared = {5: {1 - t.rank}}
-        pr.regularize_identities(t, mesh, graph)
-
-    with pytest.raises(TopologyError):
-        run_workers(2, worker)
+def test_agreement_shared_node_without_entity_raises():
+    with pytest.raises(TopologyError, match="shared node 5 carries no"):
+        check_agreement([{5: (LNODE, 9)}, {5: (LNODE, NULL_ID)}],
+                        [{5: {1}}, {5: {0}}])
 
 
 # -- selection and scattering ------------------------------------------------
@@ -1024,9 +886,10 @@ def test_parallel_increment_two_workers_golden(tmp_path, monkeypatch):
     "a junction it removes"))
 def test_scatter_leaves_no_link_to_a_node_not_held(tmp_path, monkeypatch):
     stale = []
+    scatter = pr.scatter_mesh
 
     def checked_scatter(transport, state, selections):
-        report = pr.scatter_mesh(transport, state, selections)
+        report = scatter(transport, state, selections)
         mesh = state.mesh
         for n in mesh.alive_nodes().tolist():
             for m in (int(mesh.prv[n]), int(mesh.nxt[n])):
@@ -1046,6 +909,7 @@ def test_parallel_increment_two_workers_consistent():
         shared_traj = []
         for _ in range(3):
             pr.parallel_increment(t, st, DT)
+            pr.check_shared_agreement(t, st.mesh)
             shared_traj.append({int(n): st.mesh.pos[n].copy()
                                 for n in st.mesh.shared})
         mesh = st.mesh
@@ -1077,15 +941,43 @@ def test_parallel_increment_two_workers_consistent():
 
 # -- bootstrap ---------------------------------------------------------------
 
-def test_bootstrap_consistent_ids_need_no_renames():
-    def worker(t):
-        st = booted(t, make_tjunction, x_split)
-        renames = pr.regularize_identities(t, st.mesh, st.graph)
-        return renames, sorted(st.graph.surfaces), sorted(st.graph.lines)
+class Counting:
+    """A transport that records the name of every collective it runs."""
 
-    res = run_workers(2, worker)
-    for renames, _surfs, _lines in res:
-        assert all(not m for m in renames.values())
+    def __init__(self, transport):
+        self.transport, self.calls = transport, []
+        self.rank, self.size = transport.rank, transport.size
+
+    def all_to_all(self, payloads):
+        self.calls.append("all_to_all")
+        return self.transport.all_to_all(payloads)
+
+    def all_gather(self, payload):
+        self.calls.append("all_gather")
+        return self.transport.all_gather(payload)
+
+
+def test_bootstrap_consistent_ids_need_no_renames():
+    # rank 0 names every entity, so co-owners agree on each shared node's
+    # class and entity; the bootstrap checks it in its one last exchange
+    for n_parts, layout in ((2, x_split), (3, three_part_layout)):
+        def worker(t):
+            counting = Counting(t)
+            st = booted(counting, make_tjunction, layout)
+            pr.check_shared_agreement(t, st.mesh)
+            return counting.calls, st.mesh.shared, {
+                n: (int(st.mesh.topo[n]), int(st.mesh.entity[n]))
+                for n in st.mesh.shared}
+
+        res = run_workers(n_parts, worker)
+        for calls, shared, rows in res:
+            assert calls == ["all_to_all", "all_gather", "all_gather",
+                             "all_to_all"]
+            assert shared
+            for n, owners in shared.items():
+                assert rows[n][1] != NULL_ID
+                for j in owners:
+                    assert res[j][2][n] == rows[n]
 
 
 def test_bootstrap_covers_full_mesh():
