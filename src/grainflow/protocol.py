@@ -363,8 +363,7 @@ def _splice_link(mesh, n, attr, target):
 
     Both directions describe the same global chain, so an existing link to
     a node this worker holds may only be confirmed, never changed.  A link
-    to a node it does not hold counts as absent: pruning a junction that
-    left with a sent element does not clear the links that name it."""
+    to a node it does not hold counts as absent."""
     if not mesh.alive_node(target):
         return
     arr = getattr(mesh, attr)
@@ -413,19 +412,19 @@ def _prune_sent(mesh, graph, selections, report):
         candidates.update(int(n) for n in mesh.tri[e])
         mesh.remove_element(e)
     report.touched_nodes.update(candidates)
+    removed = []
     for n in sorted(candidates):
         if not mesh.alive_node(n) or mesh.n2e.get(n):
             continue
-        if int(mesh.topo[n]) == LNODE:
-            for m in (int(mesh.prv[n]), int(mesh.nxt[n])):
-                if mesh.alive_node(m) and int(mesh.topo[m]) == LNODE:
-                    if int(mesh.prv[m]) == n:
-                        mesh.prv[m] = NULL_ID
-                    if int(mesh.nxt[m]) == n:
-                        mesh.nxt[m] = NULL_ID
-        elif int(mesh.topo[n]) == PNODE:
+        if int(mesh.topo[n]) == PNODE:
             graph.points.pop(int(mesh.entity[n]), None)
         mesh.remove_node(n)
+        removed.append(n)
+    # cut every chain where it names a node that left: a junction that
+    # returns with a later scatter must not find a stale link to itself
+    alive = mesh.alive_nodes()
+    for arr in (mesh.prv, mesh.nxt):
+        arr[alive[np.isin(arr[alive], removed)]] = NULL_ID
 
 
 def _sweep_graph(mesh, graph):

@@ -882,9 +882,6 @@ def test_parallel_increment_two_workers_golden(tmp_path, monkeypatch):
                  for r in range(2)) == GOLDEN_STATE_SHA256_2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: _prune_sent keeps the chain links of L-nodes next to "
-    "a junction it removes"))
 def test_scatter_leaves_no_link_to_a_node_not_held(tmp_path, monkeypatch):
     stale = []
     scatter = pr.scatter_mesh
