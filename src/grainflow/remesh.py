@@ -592,7 +592,9 @@ def _line_of_pp_edge(ctx: RemeshCtx, a: int, b: int) -> int:
 
 def split_edge(ctx: RemeshCtx, a: int, b: int) -> int | None:
     """Insert a midpoint node on edge (a, b); returns its id, or None when
-    the edge may not be split (a partition cut, or no longer present)."""
+    the edge may not be split: a partition cut, no longer present, or an
+    interface edge ending at a shared L-node, whose chain links its
+    co-owners hold too."""
     mesh = ctx.mesh
     a, b = int(a), int(b)
     elems = mesh.edge_elements(a, b)
@@ -603,6 +605,9 @@ def split_edge(ctx: RemeshCtx, a: int, b: int) -> int | None:
         return None
 
     iface = is_interface_edge(mesh, a, b)
+    if iface and any(mesh.topo[n] == LNODE and mesh.is_shared(n)
+                     for n in (a, b)):
+        return None
     nid = ctx.alloc.take(KIND_NODE)
     mid = 0.5 * (mesh.pos[a] + mesh.pos[b])
     if wall:

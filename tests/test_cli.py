@@ -314,3 +314,23 @@ def test_m_par2_seed5_survives_six_increments(tmp_path):
     run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=6,
                   n_parts=2, output_every=5, seed=5, out=str(tmp_path)))
     assert len(read_stats_csv(tmp_path / "stats.csv")) == 7
+
+
+def test_m_par2_seed3_survives_fifteen_increments(tmp_path):
+    # the benchmark's M problem at seed 3 on two workers, kept as found: a
+    # pruned junction stayed named by its neighbours' chain links, came
+    # back with a later scatter and raised "chain conflict at node 3233"
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=15,
+                  n_parts=2, output_every=5, seed=3, out=str(tmp_path)))
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 16
+    assert final_area(tmp_path, 15) == pytest.approx(0.09, rel=1e-9)
+
+
+def test_m_par2_seed1_survives_nineteen_increments(tmp_path):
+    # the benchmark's M problem at seed 1 on two workers, kept as found: a
+    # split of an interface edge ending at a shared L-node rewrote a chain
+    # link its co-owner held and raised "chain conflict at node 6899"
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=19,
+                  n_parts=2, output_every=5, seed=1, out=str(tmp_path)))
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 20
+    assert final_area(tmp_path, 19) == pytest.approx(0.09, rel=1e-9)

@@ -499,6 +499,32 @@ def test_edge_blocking_off_cut_shared_edge():
             assert nid is not None and changed
 
 
+def test_split_refuses_interface_edge_at_shared_lnode():
+    # cutting the strip at y = 0.5 shares L-node 40 of its vertical
+    # interface; a split of (31, 40) or (40, 49) would rewrite a chain link
+    # its co-owner holds, so both are refused before any id is taken, while
+    # an interface edge away from the cut still splits
+    def y_split(cx, cy):
+        return 0 if cy < 0.5 else 1
+
+    def worker(t):
+        st = booted(t, make_strip, y_split)
+        assert st.mesh.is_shared(40) and st.mesh.topo[40] == LNODE
+        ctx = RemeshCtx(st.mesh, st.graph, st.alloc, RemeshParams(h=1.0))
+        before = mesh_digest(st.mesh, st.graph)
+        ids = dict(st.alloc._next)
+        edge = (31, 40) if t.rank == 0 else (40, 49)
+        refused = split_edge(ctx, *edge)
+        unchanged = (mesh_digest(st.mesh, st.graph) == before
+                     and st.alloc._next == ids)
+        private = (22, 31) if t.rank == 0 else (49, 58)
+        return refused, unchanged, split_edge(ctx, *private)
+
+    for refused, unchanged, nid in run_workers(2, worker):
+        assert refused is None and unchanged
+        assert nid is not None
+
+
 # -- stencil completion and velocities ---------------------------------------
 
 def unsplit_velocities(make_mesh, mob):
