@@ -230,33 +230,34 @@ class Mesh:
     def edge_array(self, with_elems: bool = False):
         """Unique undirected edges among live elements, as an (E, 2) id array
         with each row sorted.  With ``with_elems`` also returns, per edge, the
-        ids of its one or two incident elements (second slot NULL_ID)."""
+        ids of its one or two incident elements (second slot NULL_ID), in
+        the order the elements' sides (0, 1), (1, 2), (2, 0) list them.
+
+        Each edge (a, b), a < b, is keyed as the one int64 ``a * N + b``
+        with N the node capacity, so one flat sort orders the edges as rows
+        would be ordered."""
         eids = self.alive_elems()
-        if len(eids) == 0:
-            e = np.zeros((0, 2), dtype=np.int64)
-            if with_elems:
-                return e, np.zeros((0, 2), dtype=np.int64)
-            return e
         t = self.tri[eids]
-        raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        raw.sort(axis=1)
-        edges, inv, cnt = np.unique(raw, axis=0, return_inverse=True,
-                                    return_counts=True)
+        u, v = t.T.ravel(), t[:, [1, 2, 0]].T.ravel()
+        n = len(self.node_alive)
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        if with_elems:
+            keys, inv, cnt = np.unique(key, return_inverse=True,
+                                       return_counts=True)
+        else:
+            keys, cnt = np.unique(key, return_counts=True)
+        edges = np.column_stack([keys // n, keys % n])
         if (cnt > 2).any():
             bad = edges[cnt > 2][0]
             raise TopologyError(f"edge {tuple(bad)} has more than two elements")
         if not with_elems:
             return edges
-        owner = np.tile(eids, 3)
-        order = np.argsort(inv, kind="stable")
+        owner = np.tile(eids, 3)[np.argsort(inv, kind="stable")]
+        first = np.cumsum(cnt) - cnt
+        two = cnt == 2
         ee = np.full((len(edges), 2), NULL_ID, dtype=np.int64)
-        starts = np.r_[0, np.cumsum(cnt)]
-        sorted_owner = owner[order]
-        for k in range(len(edges)):
-            s = starts[k]
-            ee[k, 0] = sorted_owner[s]
-            if cnt[k] == 2:
-                ee[k, 1] = sorted_owner[s + 1]
+        ee[:, 0] = owner[first]
+        ee[two, 1] = owner[first[two] + 1]
         return edges, ee
 
     def edge_elements(self, a: int, b: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grainflow.mesh import (
     Mesh, MeshError, TopologyError, build_mesh, signed_area, element_patch,
@@ -71,6 +72,73 @@ def test_edge_incidence_totals():
     counts = (ee != NULL_ID).sum(axis=1)
     assert counts.sum() == 3 * m.n_elems()
     assert set(np.unique(counts)) <= {1, 2}
+
+
+def edges_by_rows(mesh, with_elems=False):
+    """``Mesh.edge_array`` as a unique over sorted (a, b) rows: the
+    formulation the one-int64 edge key replaced."""
+    eids = mesh.alive_elems()
+    t = mesh.tri[eids]
+    raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    raw.sort(axis=1)
+    edges, inv, cnt = np.unique(raw, axis=0, return_inverse=True,
+                                return_counts=True)
+    edges = edges.reshape(-1, 2)
+    if not with_elems:
+        return edges
+    owner = np.tile(eids, 3)[np.argsort(inv.ravel(), kind="stable")]
+    ee = np.full((len(edges), 2), NULL_ID, dtype=np.int64)
+    s = 0
+    for k, c in enumerate(cnt):
+        ee[k, :c] = owner[s:s + c]
+        s += c
+    return edges, ee
+
+
+@st.composite
+def tombstoned_meshes(draw):
+    """A grid mesh under sparse random ids, with some elements removed."""
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    g = grid_mesh(nx, ny)
+    nids, pos, eids, tri, surf = g.live_arrays()
+    node_ids = np.array(draw(st.lists(
+        st.integers(0, 4 * len(nids)), min_size=len(nids),
+        max_size=len(nids), unique=True)), dtype=np.int64)
+    elem_ids = np.array(draw(st.lists(
+        st.integers(0, 4 * len(eids)), min_size=len(eids),
+        max_size=len(eids), unique=True)), dtype=np.int64)
+    corners = draw(st.permutations(range(3)))
+    m = Mesh.from_arrays(node_ids, pos, elem_ids, node_ids[tri][:, corners],
+                         surf)
+    for e in draw(st.lists(st.sampled_from(elem_ids.tolist()), unique=True,
+                           max_size=len(elem_ids))):
+        m.remove_element(e)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(tombstoned_meshes())
+def test_edge_array_matches_row_unique(m):
+    edges = m.edge_array()
+    assert edges.dtype == np.int64 and edges.shape[1] == 2
+    assert np.array_equal(edges, edges_by_rows(m))
+    got, got_ee = m.edge_array(with_elems=True)
+    want, want_ee = edges_by_rows(m, with_elems=True)
+    assert np.array_equal(got, want) and np.array_equal(got_ee, want_ee)
+
+
+def test_edge_array_three_elements_raise():
+    # three elements on edge (3, 7), among tombstoned ids on both sides
+    m = Mesh.from_arrays(
+        [3, 7, 8, 9, 12], [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0.5)],
+        [2, 5, 6, 9], [(3, 7, 8), (3, 9, 7), (8, 9, 12), (3, 7, 12)],
+        [0, 0, 0, 0])
+    m.remove_element(6)
+    for with_elems in (False, True):
+        with pytest.raises(TopologyError, match="more than two elements") \
+                as err:
+            m.edge_array(with_elems=with_elems)
+        assert str((np.int64(3), np.int64(7))) in str(err.value)
 
 
 def test_edge_elements_query():
