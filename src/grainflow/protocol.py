@@ -628,9 +628,74 @@ def _check_prefix(short, long, nid):
 
 # -- velocities with remote stencils ----------------------------------------
 
-def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
+@dataclass
+class PlannedSegment:
+    """One line segment as every velocity evaluation of an increment reads
+    it: its chain ``ids``, and for an open segment the inward neighbour of
+    each end that is a shared L-node (``NULL_ID`` otherwise), whose far-side
+    support extends the chain.  ``write_ids`` are the nodes whose velocity
+    the segment sets, at rows ``write_rows`` of the chain before extension."""
+    line: int
+    ids: np.ndarray
+    closed: bool
+    head: int
+    tail: int
+    write_ids: np.ndarray
+    write_rows: np.ndarray
+
+
+@dataclass
+class VelocityPlan:
+    """The topology the velocities of one increment read.
+
+    Motion moves nodes but never relinks them, so what one evaluation
+    finds by walking chains and patches holds for every substep: the line
+    segments, the shared L-nodes as (line, node) pairs, ascending by node,
+    and each junction with its arm ids, or ``None`` at a shared junction,
+    whose arms come from the stencil support."""
+    segments: list[PlannedSegment] = field(default_factory=list)
+    shared_lnodes: list[tuple[int, int]] = field(default_factory=list)
+    junctions: list[tuple[int, np.ndarray | None]] = \
+        field(default_factory=list)
+
+
+def velocity_plan(mesh: Mesh, graph: EntityGraph,
+                  members: dict[int, list[int]]) -> VelocityPlan:
+    """Plan the velocity evaluations of one increment, after junction
+    decomposition.  ``members`` is ``lnodes_by_line(mesh)``."""
+    def shared_lnode(n):
+        return mesh.topo[n] == LNODE and mesh.is_shared(int(n))
+
+    plan = VelocityPlan()
+    for lid in sorted(graph.lines):
+        for seg in line_segments(mesh, lid, members.get(lid, [])):
+            ids = np.asarray(seg.nodes)
+            if seg.closed:
+                plan.segments.append(PlannedSegment(
+                    lid, ids, True, NULL_ID, NULL_ID, ids,
+                    np.arange(len(ids))))
+                continue
+            if len(ids) == 1:
+                continue  # lone shared node; its window covers it
+            head = int(ids[1]) if shared_lnode(ids[0]) else NULL_ID
+            tail = int(ids[-2]) if shared_lnode(ids[-1]) else NULL_ID
+            rows = np.flatnonzero((mesh.topo[ids] == LNODE) & np.array(
+                [not mesh.is_shared(int(n)) for n in ids]))
+            plan.segments.append(PlannedSegment(
+                lid, ids, False, head, tail, ids[rows], rows))
+    plan.shared_lnodes = [(int(mesh.entity[n]), n) for n in sorted(mesh.shared)
+                          if mesh.topo[n] == LNODE]
+    for pid in sorted(graph.points):
+        n = graph.points[pid].node
+        arms = None if mesh.is_shared(n) else np.array(
+            [m for m, _ in junction_arms(mesh, n)], dtype=np.int64)
+        plan.junctions.append((n, arms))
+    return plan
+
+
+def node_velocities_parallel(mesh: Mesh, mobility: float,
                              support: StencilSupport,
-                             members: dict[int, list[int]]) -> np.ndarray:
+                             plan: VelocityPlan) -> np.ndarray:
     """Curvature velocity for every line and junction node, walls applied.
 
     Every spline of the evaluation goes into one batched solve: open
@@ -640,57 +705,44 @@ def node_velocities_parallel(mesh: Mesh, graph: EntityGraph, mobility: float,
     live remotely: open segments are extended by the far-side samples before
     fitting, shared line nodes take the value of their canonical five-point
     window, and shared junctions use the merged global arm set, so all
-    owners produce bit-identical values.  ``members`` is
-    ``lnodes_by_line(mesh)``.
+    owners produce bit-identical values.  The topology comes from ``plan``,
+    built once per increment by ``velocity_plan``; an evaluation reads only
+    the current positions and ``support``.
     """
-    vel = np.zeros_like(mesh.pos)
+    pos = mesh.pos
+    vel = np.zeros_like(pos)
     chains: list[np.ndarray] = []
     ends: list[int] = []
     writes: list[tuple[np.ndarray, np.ndarray]] = []
-    for lid in sorted(graph.lines):
-        for seg in line_segments(mesh, lid, members.get(lid, [])):
-            ids = np.asarray(seg.nodes)
-            if seg.closed:
-                chains.append(mesh.pos[ids])
-                ends.append(PERIODIC)
-                writes.append((ids, np.arange(len(ids))))
-                continue
-            if len(ids) == 1:
-                continue  # lone shared node; its window covers it
-            pts = [mesh.pos[ids]]
-            lead = 0
-            head, tail = int(ids[0]), int(ids[-1])
-            if mesh.topo[head] == LNODE and mesh.is_shared(head):
-                run = support.far_side(lid, head, int(ids[1]))
-                if run:
-                    pts.insert(0, np.array([p for _, p in reversed(run)]))
-                    lead = len(run)
-            if mesh.topo[tail] == LNODE and mesh.is_shared(tail):
-                run = support.far_side(lid, tail, int(ids[-2]))
-                if run:
-                    pts.append(np.array([p for _, p in run]))
-            keep = (mesh.topo[ids] == LNODE) \
-                & np.array([not mesh.is_shared(int(n)) for n in ids])
-            chains.append(np.vstack(pts))
-            ends.append(NATURAL)
-            writes.append((ids[keep], lead + np.flatnonzero(keep)))
-    for n in sorted(mesh.shared):
-        if int(mesh.topo[n]) != LNODE:
-            continue
-        knots, index = _shared_window(mesh, support, int(mesh.entity[n]), n)
+    for seg in plan.segments:
+        pts = pos[seg.ids]
+        lead = 0
+        if seg.head != NULL_ID:
+            run = support.far_side(seg.line, int(seg.ids[0]), seg.head)
+            if run:
+                pts = np.vstack([[p for _, p in reversed(run)], pts])
+                lead = len(run)
+        if seg.tail != NULL_ID:
+            run = support.far_side(seg.line, int(seg.ids[-1]), seg.tail)
+            if run:
+                pts = np.vstack([pts, [p for _, p in run]])
+        chains.append(pts)
+        ends.append(PERIODIC if seg.closed else NATURAL)
+        writes.append((seg.write_ids, lead + seg.write_rows))
+    for lid, n in plan.shared_lnodes:
+        knots, index = _shared_window(mesh, support, lid, n)
         chains.append(knots)
         ends.append(NOT_A_KNOT)
         writes.append((np.array([n]), np.array([index])))
     for (ids, rows), kap in zip(writes, spline_curvature(chains, ends)):
         vel[ids] = mobility * kap[rows]
 
-    for pid in sorted(graph.points):
-        n = graph.points[pid].node
-        if mesh.is_shared(n):
-            arms = support.point_arms.get(n, [])
+    for n, arms in plan.junctions:
+        if arms is None:
+            found = support.point_arms.get(n, [])
         else:
-            arms = junction_arms(mesh, n)
-        vel[n] = mobility * junction_curvature(mesh.pos[n], arms)
+            found = [(m, pos[m]) for m in arms.tolist()]
+        vel[n] = mobility * junction_curvature(pos[n], found)
     constrain_to_walls(mesh, vel)
     return vel
 
@@ -756,10 +808,13 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     boundary, stencil completion, and finally the damped collective motion.
     Junctions decompose before stencils are gathered: a peel can rewire a
     chain within stencil reach, and co-owners must fit identical knots.
+    Motion never relinks nodes, so one ``velocity_plan`` built after the
+    decomposition serves every velocity evaluation of the increment.
     The motion substep count is chosen so no node travels more than
     ``MAX_TRAVEL_FRAC * h`` per substep, from the fastest speed of any
-    worker (a one-value ``SPEEDS`` frame), with velocities recomputed
-    between substeps.  A single worker runs the same steps: it shares no nodes,
+    worker (a one-value ``SPEEDS`` frame), with stencil support and
+    velocities recomputed from the current positions between substeps.
+    A single worker runs the same steps: it shares no nodes,
     sends no elements and its second maintenance pass has nothing in scope.
     """
     if mobility is None:
@@ -777,11 +832,12 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     remesh_pass(state, scope=scope)
 
     decompose_junctions(mesh, graph, state.alloc, state.params)
-    # motion moves nodes but never relinks them: one member scan serves
-    # every velocity evaluation of this increment
+    # motion moves nodes but never relinks them: one member scan and one
+    # plan serve every velocity evaluation of this increment
     members = lnodes_by_line(mesh)
+    plan = velocity_plan(mesh, graph, members)
     support = complete_temporary_nodes(transport, mesh, graph, members)
-    vel = node_velocities_parallel(mesh, graph, mobility, support, members)
+    vel = node_velocities_parallel(mesh, mobility, support, plan)
 
     speeds = np.linalg.norm(vel, axis=1)
     local_vmax = float(speeds.max()) if len(speeds) else 0.0
@@ -792,8 +848,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
         if i > 0:
             support = complete_temporary_nodes(transport, mesh, graph,
                                                members)
-            vel = node_velocities_parallel(mesh, graph, mobility, support,
-                                           members)
+            vel = node_velocities_parallel(mesh, mobility, support, plan)
         moving = mesh.alive_nodes()
         moving = moving[(vel[moving] != 0.0).any(axis=1)]
         parallel_move(transport, mesh, moving, vel[moving] * (dt / n_sub))

@@ -14,7 +14,7 @@ from grainflow.motion import (constrain_to_walls, decompose_junctions,
                               junction_arms, reduced_mobility)
 from grainflow.protocol import (complete_temporary_nodes,
                                 node_velocities_parallel, parallel_increment,
-                                parallel_move)
+                                parallel_move, velocity_plan)
 from grainflow.state import IdAllocator, RemeshParams, SimState
 
 from .conftest import grid_mesh, reconstructed
@@ -34,8 +34,8 @@ def total_area(mesh):
 def velocities(mesh, graph, mobility):
     members = lnodes_by_line(mesh)
     return one_rank(lambda t: node_velocities_parallel(
-        mesh, graph, mobility,
-        complete_temporary_nodes(t, mesh, graph, members), members))
+        mesh, mobility, complete_temporary_nodes(t, mesh, graph, members),
+        velocity_plan(mesh, graph, members)))
 
 
 def increment(state, dt, mobility=None):

@@ -531,8 +531,8 @@ def unsplit_velocities(make_mesh, mob):
     """Velocities of the whole mesh in one piece: nothing shared, no
     remote stencil samples."""
     full, graph = reconstructed(make_mesh())
-    return pr.node_velocities_parallel(full, graph, mob, pr.StencilSupport(),
-                                       lnodes_by_line(full))
+    plan = pr.velocity_plan(full, graph, lnodes_by_line(full))
+    return pr.node_velocities_parallel(full, mob, pr.StencilSupport(), plan)
 
 
 def test_velocities_agree_across_owners_and_with_sequential():
@@ -543,7 +543,8 @@ def test_velocities_agree_across_owners_and_with_sequential():
         st = booted(t, make_tjunction, x_split)
         members = lnodes_by_line(st.mesh)
         sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
+        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
         return (sorted(int(n) for n in st.mesh.alive_nodes()),
                 set(st.mesh.shared),
                 {int(n): vel[n].copy() for n in st.mesh.alive_nodes()})
@@ -572,7 +573,8 @@ def test_velocities_cut_across_interface():
         st = booted(t, make_strip, y_split)
         members = lnodes_by_line(st.mesh)
         sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
+        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
         sides = {n: sorted(r[0][0] for r in sup.line_sides.get(
             (int(st.mesh.entity[n]), n), [])) for n in st.mesh.shared
             if st.mesh.topo[n] == LNODE}
@@ -619,8 +621,8 @@ def test_velocities_make_one_banded_solve(monkeypatch):
         sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
         key = threading.get_ident()
         calls.pop(key, None)
-        pr.node_velocities_parallel(st.mesh, st.graph, reduced_mobility(), sup,
-                                    members)
+        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        pr.node_velocities_parallel(st.mesh, reduced_mobility(), sup, plan)
         return calls.get(key, 0), kinds[key]
 
     (c0, k0), (c1, k1) = run_workers(2, worker)
@@ -733,6 +735,36 @@ def test_stencil_support_mode_or_line_mismatch_raises():
         pushed_by_1(st, [other])
 
 
+def test_velocity_plan_serves_every_substep():
+    # motion moves nodes but never relinks them: after a move, the plan
+    # built before it gives the velocities a fresh plan gives, bit for bit,
+    # on both owners of a cut that severs an interface mid-chain
+    mob = reduced_mobility()
+
+    def worker(t):
+        st = booted(t, make_tjunction, lambda cx, cy: 0 if cy < 0.5 else 1)
+        members = lnodes_by_line(st.mesh)
+        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(
+            st.mesh, mob, pr.complete_temporary_nodes(
+                t, st.mesh, st.graph, members), plan)
+        moving = st.mesh.alive_nodes()
+        before = st.mesh.pos.copy()
+        pr.parallel_move(t, st.mesh, moving, vel[moving] * DT)
+        assert not np.array_equal(st.mesh.pos, before)
+        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        fresh = pr.velocity_plan(st.mesh, st.graph, lnodes_by_line(st.mesh))
+        return (pr.node_velocities_parallel(st.mesh, mob, sup, plan),
+                pr.node_velocities_parallel(st.mesh, mob, sup, fresh),
+                plan.shared_lnodes, any(seg.head != NULL_ID or seg.tail
+                                        != NULL_ID for seg in plan.segments))
+
+    for kept, fresh, shared_lnodes, extended in run_workers(2, worker):
+        assert shared_lnodes and extended
+        assert np.array_equal(kept, fresh)
+        assert (kept != 0.0).any()
+
+
 def test_np1_velocities_bitwise_sequential():
     mob = reduced_mobility()
     vel_seq = unsplit_velocities(make_tjunction, mob)
@@ -741,7 +773,8 @@ def test_np1_velocities_bitwise_sequential():
         st = booted(t, make_tjunction, lambda cx, cy: 0)
         members = lnodes_by_line(st.mesh)
         sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        vel = pr.node_velocities_parallel(st.mesh, st.graph, mob, sup, members)
+        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
         return vel
 
     (vel,) = run_workers(1, worker)
