@@ -42,9 +42,11 @@ class Transport(Protocol):
 class InProcessExchange:
     """Shared state for one group of worker threads.
 
-    Each collective runs in two phases (write all slots, barrier, read all
-    slots, barrier) so a fast worker cannot start the next collective while
-    a slow one is still reading.
+    Each collective runs in two phases (write all slots, sync, read all
+    slots, sync) so a fast worker cannot start the next collective while
+    a slow one is still reading.  Syncs are counted: a worker whose sync
+    every peer reached leaves it normally even if a peer aborts before it
+    wakes, so only workers a failure really strands raise.
     """
 
     def __init__(self, n_parts: int) -> None:
@@ -53,7 +55,10 @@ class InProcessExchange:
         self.n_parts = n_parts
         self._slots: list[list[bytes | None]] = [
             [None] * n_parts for _ in range(n_parts)]
-        self._barrier = threading.Barrier(n_parts)
+        self._cond = threading.Condition()
+        self._arrived = 0
+        self._generation = 0
+        self._aborted = False
 
     def worker(self, rank: int) -> "InProcessTransport":
         if not 0 <= rank < self.n_parts:
@@ -61,14 +66,26 @@ class InProcessExchange:
         return InProcessTransport(self, rank)
 
     def abort(self) -> None:
-        """Break the barrier so every blocked peer raises TransportAborted."""
-        self._barrier.abort()
+        """Make every peer waiting in an unfinished sync, and every later
+        sync, raise TransportAborted."""
+        with self._cond:
+            self._aborted = True
+            self._cond.notify_all()
 
     def _sync(self) -> None:
-        try:
-            self._barrier.wait()
-        except threading.BrokenBarrierError:
-            raise TransportAborted("a peer failed mid-collective") from None
+        with self._cond:
+            generation = self._generation
+            if not self._aborted:
+                self._arrived += 1
+                if self._arrived == self.n_parts:
+                    self._arrived = 0
+                    self._generation += 1
+                    self._cond.notify_all()
+                    return
+                self._cond.wait_for(lambda: self._aborted
+                                    or self._generation != generation)
+            if self._generation == generation:
+                raise TransportAborted("a peer failed mid-collective")
 
 
 class InProcessTransport:
@@ -103,8 +120,10 @@ class InProcessTransport:
 def run_workers(n_parts: int, fn: Callable[[Transport], T]) -> list[T]:
     """Run ``fn(transport)`` for ranks ``0 .. n_parts - 1`` and collect the
     per-rank results.  Rank 0 runs on the calling thread, the others on
-    worker threads.  The first real worker exception is re-raised; peers
-    that died on the resulting broken barrier are not reported."""
+    worker threads.  The lowest rank's real exception is re-raised; peers
+    that a failure stranded in a collective (``TransportAborted``) are not
+    reported.  A collective every rank finished is never undone by a later
+    abort, so the same failures always report the same error."""
     exchange = InProcessExchange(n_parts)
     results: list[T | None] = [None] * n_parts
     errors: list[BaseException | None] = [None] * n_parts

@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import time
 import weakref
 
 import pytest
@@ -71,6 +72,23 @@ def test_worker_error_propagates_and_peers_unwind():
 
     with pytest.raises(Boom):
         run_workers(3, body)
+
+
+def test_errors_after_a_finished_collective_report_rank_zero():
+    # both workers finish one all_gather and then raise.  Rank 1 arrives
+    # last, so it leaves the collective first and aborts the exchange while
+    # rank 0 may not have woken yet; that must not turn rank 0's finished
+    # collective into TransportAborted, so rank 0's error is always the one
+    # reported
+    def body(tp):
+        if tp.rank == 1:
+            time.sleep(0.001)
+        tp.all_gather(b"x")
+        raise ValueError(f"rank {tp.rank}")
+
+    for _ in range(200):
+        with pytest.raises(ValueError, match="rank 0"):
+            run_workers(2, body)
 
 
 def test_abort_breaks_waiting_peers():
