@@ -361,27 +361,25 @@ def _apply_frames(mesh, graph, frames, report):
 def _splice_link(mesh, n, attr, target):
     """Set one direction of a chain link, with reciprocal fill-in.
 
-    Both directions describe the same global chain, so an existing link to
-    a node this worker holds may only be confirmed, never changed.  A link
-    to a node it does not hold counts as absent."""
+    Both directions describe the same global chain, so an existing link may
+    only be confirmed, never changed: one that names another node raises,
+    held or not, and nothing is written.  A target this worker does not
+    hold is left out."""
     if not mesh.alive_node(target):
         return
     arr = getattr(mesh, attr)
     cur = int(arr[n])
-    if cur != target:
-        if mesh.alive_node(cur):
-            raise ProtocolError(f"chain conflict at node {n}: {attr} is "
-                                f"{cur}, packet says {target}")
-        arr[n] = target
-    if int(mesh.topo[target]) == LNODE:
-        back = mesh.nxt if attr == "prv" else mesh.prv
-        cur_back = int(back[target])
-        if cur_back != n:
-            if mesh.alive_node(cur_back):
-                raise ProtocolError(
-                    f"chain conflict at node {target}: reciprocal of {n} is "
-                    f"{cur_back}")
-            back[target] = n
+    if cur not in (target, NULL_ID):
+        raise ProtocolError(f"chain conflict at node {n}: {attr} is "
+                            f"{cur}, packet says {target}")
+    back = mesh.nxt if attr == "prv" else mesh.prv
+    reciprocal = int(mesh.topo[target]) == LNODE
+    if reciprocal and int(back[target]) not in (n, NULL_ID):
+        raise ProtocolError(f"chain conflict at node {target}: reciprocal "
+                            f"of {n} is {int(back[target])}")
+    arr[n] = target
+    if reciprocal:
+        back[target] = n
 
 
 def _apply_point(mesh, graph, nid, pid, conns):

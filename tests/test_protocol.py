@@ -410,19 +410,24 @@ def test_splice_conflict_raises():
         pr._splice_link(mesh, 1, "prv", 4)
 
 
-def test_splice_overwrites_links_to_nodes_not_held():
-    # node 5 was a junction that left this worker; 1 and 2 still name it
+def test_splice_link_to_a_node_not_held_raises():
+    # node 5 is not held here; a scatter prunes every link naming a node it
+    # removes, so a link to 5 is a fault, not an absent link, and the
+    # splice writes nothing before it raises
     mesh = Mesh()
     for n, x in ((1, 0.0), (2, 1.0), (4, 2.0)):
         mesh.add_node(n, (x, 0.0), topo=LNODE, entity=3)
     mesh.prv[1] = 5
+    with pytest.raises(pr.ProtocolError, match="node 1: prv is 5"):
+        pr._splice_link(mesh, 1, "prv", 2)
+    mesh.prv[1] = NULL_ID
     mesh.nxt[2] = 5
+    with pytest.raises(pr.ProtocolError, match="reciprocal of 1 is 5"):
+        pr._splice_link(mesh, 1, "prv", 2)
+    assert (int(mesh.prv[1]), int(mesh.nxt[2])) == (NULL_ID, 5)
+    mesh.nxt[2] = NULL_ID
     pr._splice_link(mesh, 1, "prv", 2)
     assert (int(mesh.prv[1]), int(mesh.nxt[2])) == (2, 1)
-    # a stale link gives way, but a held reciprocal still conflicts
-    mesh.nxt[4] = 7
-    with pytest.raises(pr.ProtocolError, match="reciprocal of 4 is 2"):
-        pr._splice_link(mesh, 4, "nxt", 1)
 
 
 # -- remesh guards at the partition cut --------------------------------------
