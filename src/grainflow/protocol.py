@@ -653,7 +653,7 @@ class VelocityPlan:
     whose arms come from the stencil support."""
     segments: list[PlannedSegment] = field(default_factory=list)
     shared_lnodes: list[tuple[int, int]] = field(default_factory=list)
-    junctions: list[tuple[int, np.ndarray | None]] = \
+    junctions: list[tuple[int, list[int] | None]] = \
         field(default_factory=list)
 
 
@@ -685,8 +685,8 @@ def velocity_plan(mesh: Mesh, graph: EntityGraph,
                           if mesh.topo[n] == LNODE]
     for pid in sorted(graph.points):
         n = graph.points[pid].node
-        arms = None if mesh.is_shared(n) else np.array(
-            [m for m, _ in junction_arms(mesh, n)], dtype=np.int64)
+        arms = None if mesh.is_shared(n) else \
+            [m for m, _ in junction_arms(mesh, n)]
         plan.junctions.append((n, arms))
     return plan
 
@@ -739,7 +739,7 @@ def node_velocities_parallel(mesh: Mesh, mobility: float,
         if arms is None:
             found = support.point_arms.get(n, [])
         else:
-            found = [(m, pos[m]) for m in arms.tolist()]
+            found = [(m, pos[m]) for m in arms]
         vel[n] = mobility * junction_curvature(pos[n], found)
     constrain_to_walls(mesh, vel)
     return vel

@@ -1,6 +1,7 @@
 """In-process transport collectives: ordering, reuse, failure paths."""
 
 import gc
+import sys
 import threading
 import time
 import weakref
@@ -47,6 +48,33 @@ def test_back_to_back_collectives_do_not_bleed():
         for i, got in enumerate(results):
             round_no = i // 2
             assert got == [f"{round_no}:{r}".encode() for r in range(3)]
+
+
+def test_collectives_hold_under_a_short_switch_interval():
+    # more workers than cores and a thread switch every few microseconds:
+    # every round must hand back that round's payloads, and no sync may
+    # strand a worker
+    def body(tp):
+        wrong = 0
+        for round_no in range(200):
+            tag = f"{round_no}:{tp.rank}".encode()
+            want = [f"{round_no}:{r}".encode() for r in range(tp.size)]
+            wrong += tp.all_gather(tag) != want
+            wrong += tp.all_to_all([tag] * tp.size) != want
+        return wrong
+
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runner = threading.Thread(
+            target=lambda: results.append(run_workers(6, body)), daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    assert results == [[0] * 6]
 
 
 def test_all_to_all_arity_check():
