@@ -830,8 +830,6 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     remesh_pass(state, scope=scope)
 
     decompose_junctions(mesh, graph, state.alloc, state.params)
-    # motion moves nodes but never relinks them: one member scan and one
-    # plan serve every velocity evaluation of this increment
     members = lnodes_by_line(mesh)
     plan = velocity_plan(mesh, graph, members)
     support = complete_temporary_nodes(transport, mesh, graph, members)
