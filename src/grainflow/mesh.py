@@ -29,7 +29,10 @@ BND_TANGENT_X = 0   # on a horizontal wall, free to move along x
 BND_TANGENT_Y = 1   # on a vertical wall, free to move along y
 BND_CORNER = 2      # pinned
 
-DEGENERATE_AREA = 1e-12  # mm^2, below this an element is considered collapsed
+MIN_AREA = 1e-12  # mm^2, an element this small is considered collapsed
+
+# how far apart, in mm, two wall nodes may lie across their common wall line
+WALL_TOL = 1e-9
 
 _NODE_CHUNK = 1024
 _ELEM_CHUNK = 2048
@@ -66,47 +69,6 @@ class Mesh:
 
         self.n2e: dict[int, set[int]] = {}
         self.shared: dict[int, set[int]] = {}
-
-    @classmethod
-    def from_arrays(cls, nids, pos, eids, tri, surf, topo=None, entity=None,
-                    bnd=None, prv=None, nxt=None) -> "Mesh":
-        """Bulk construction from per-node and per-element arrays.
-
-        Node data is aligned with ``nids`` and element data with ``eids``;
-        omitted node data takes the ``add_node`` defaults.  Ids must be
-        unique and elements may reference only the given nodes.  Elements
-        enter the node patches in ascending id order, as ``add_element``
-        calls in that order would leave them.
-        """
-        nids = np.asarray(nids, dtype=np.int64)
-        eids = np.asarray(eids, dtype=np.int64)
-        tri = np.asarray(tri, dtype=np.int64).reshape(-1, 3)
-        if (len(np.unique(nids)) != len(nids)
-                or len(np.unique(eids)) != len(eids)):
-            raise MeshError("duplicate node or element id")
-        mesh = cls()
-        if len(nids):
-            mesh._grow_nodes(int(nids.max()))
-        if len(eids):
-            mesh._grow_elems(int(eids.max()))
-        mesh.pos[nids] = pos
-        for name, vals in (("topo", topo), ("entity", entity), ("bnd", bnd),
-                           ("prv", prv), ("nxt", nxt)):
-            if vals is not None:
-                getattr(mesh, name)[nids] = vals
-        mesh.node_alive[nids] = True
-        if len(tri) and (tri.min() < 0 or tri.max() >= len(mesh.node_alive)
-                         or not mesh.node_alive[tri].all()):
-            raise MeshError("element references a missing node")
-        mesh.tri[eids] = tri
-        mesh.surf[eids] = surf
-        mesh.elem_alive[eids] = True
-        mesh.n2e = {n: set() for n in nids.tolist()}
-        order = np.argsort(eids, kind="stable")
-        for e, row in zip(eids[order].tolist(), tri[order].tolist()):
-            for n in row:
-                mesh.n2e[n].add(e)
-        return mesh
 
     # -- storage ------------------------------------------------------------
 
@@ -315,7 +277,7 @@ def build_mesh(nodes, elements) -> Mesh:
         if len({a, b, c}) != 3:
             raise MeshError(f"element {eid} has repeated nodes")
         ar = _tri_area(mesh.pos[[a, b, c]].reshape(1, 3, 2))[0]
-        if abs(ar) < DEGENERATE_AREA:
+        if abs(ar) < MIN_AREA:
             raise MeshError(f"element {eid} is degenerate (area {ar:g})")
         if ar < 0:
             a, b, c = a, c, b
@@ -346,7 +308,7 @@ def _mark_boundary(mesh: Mesh) -> None:
             mesh.bnd[nid] = BND_TANGENT_X if abs(u[0]) >= abs(u[1]) else BND_TANGENT_Y
 
 
-def is_domain_boundary_edge(mesh: Mesh, a: int, b: int, tol: float = 1e-9) -> bool:
+def is_domain_boundary_edge(mesh: Mesh, a: int, b: int) -> bool:
     """True when edge (a, b) lies along a domain wall.
 
     Used to tell real domain boundary apart from the cut left by a partition:
@@ -357,9 +319,9 @@ def is_domain_boundary_edge(mesh: Mesh, a: int, b: int, tol: float = 1e-9) -> bo
     if ba == BND_NONE or bb == BND_NONE:
         return False
     pa, pb = mesh.pos[a], mesh.pos[b]
-    if abs(pa[1] - pb[1]) <= tol and ba != BND_TANGENT_Y and bb != BND_TANGENT_Y:
+    if abs(pa[1] - pb[1]) <= WALL_TOL and ba != BND_TANGENT_Y and bb != BND_TANGENT_Y:
         return True
-    if abs(pa[0] - pb[0]) <= tol and ba != BND_TANGENT_X and bb != BND_TANGENT_X:
+    if abs(pa[0] - pb[0]) <= WALL_TOL and ba != BND_TANGENT_X and bb != BND_TANGENT_X:
         return True
     return False
 

@@ -21,8 +21,8 @@ from scipy.constants import R as GAS_CONSTANT
 from .entities import (KIND_LINE, KIND_POINT, EntityGraph, Line, Point,
                        bare_lines, is_interface_edge, lnodes_by_line)
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
-                   Mesh, TopologyError, _tri_area, is_domain_boundary_edge)
-from .remesh import MIN_AREA
+                   MIN_AREA, Mesh, TopologyError, _tri_area,
+                   is_domain_boundary_edge)
 from .state import KIND_ELEM, KIND_NODE
 
 MOBILITY_PREFACTOR = 1.56e11    # mm^4 / (J s)
@@ -33,18 +33,36 @@ DEFAULT_TEMPERATURE = 1323.0    # K
 JUNCTION_OFFSET_FRAC = 0.3      # peel distance for decomposition, in units of h
 
 
-def reduced_mobility(temperature: float = DEFAULT_TEMPERATURE,
-                     prefactor: float = MOBILITY_PREFACTOR,
-                     activation: float = ACTIVATION_ENERGY,
-                     energy: float = BOUNDARY_ENERGY) -> float:
-    """Product M * gamma in mm^2/s; defaults describe an austenitic steel."""
-    return prefactor * np.exp(-activation / (GAS_CONSTANT * temperature)) * energy
+def reduced_mobility(temperature: float = DEFAULT_TEMPERATURE) -> float:
+    """Product M * gamma in mm^2/s of an austenitic steel."""
+    return MOBILITY_PREFACTOR * np.exp(
+        -ACTIVATION_ENERGY / (GAS_CONSTANT * temperature)) * BOUNDARY_ENERGY
 
 
-def junction_arms(mesh: Mesh, nid: int) -> list[tuple[int, np.ndarray]]:
-    """(neighbor, position) pairs of the boundary edges leaving a junction."""
-    return [(n, mesh.pos[n]) for n in mesh.node_neighbors(nid)
-            if is_interface_edge(mesh, nid, n)]
+def junction_arms(mesh: Mesh, graph: EntityGraph, members,
+                  nid: int) -> list[int]:
+    """Ids, ascending, of the nodes at the far end of a junction's arms.
+
+    Arms are read off the entity structure: L-nodes chained to the
+    junction, neighbouring junctions joined to it by a line without
+    L-nodes (``members`` is ``lnodes_by_line(mesh)``), and wall edges.
+    Unlike a comparison of the two elements on an edge, this sees an arm
+    whose edge straddles a partition cut, so at a shared junction each
+    owner reports the arms it holds and their union is exact.
+    """
+    pt = graph.points.get(int(mesh.entity[nid]))
+    arms = []
+    for m in mesh.node_neighbors(nid):
+        if int(mesh.topo[m]) == LNODE:
+            arm = nid in (int(mesh.prv[m]), int(mesh.nxt[m]))
+        elif int(mesh.topo[m]) == PNODE and pt is not None:
+            other = graph.points.get(int(mesh.entity[m]))
+            arm = other is not None and bool(bare_lines(pt, other, members))
+        else:
+            arm = False
+        if arm or is_domain_boundary_edge(mesh, nid, m):
+            arms.append(m)
+    return arms
 
 
 def constrain_to_walls(mesh: Mesh, vel: np.ndarray) -> None:

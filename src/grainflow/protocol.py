@@ -16,7 +16,9 @@ here keep the partitions telling one consistent story:
   each worker its first slice through the same receiving code,
 * stencil completion, in which every owner pushes its co-owners, unasked
   and in one exchange, the few positions they need so curvature at a
-  shared node comes out bit-identical on every owner,
+  shared node comes out bit-identical on every owner; which nodes those
+  are is fixed once per increment by the ``VelocityPlan``, which also
+  holds the line segments and junction arms the velocities read,
 * a collective movement sweep whose flip back-off is agreed globally, so
   shared nodes land on exactly the same coordinates everywhere.
 
@@ -37,12 +39,11 @@ from typing import Callable
 import numpy as np
 
 from .entities import (EntityGraph, KIND_LINE, Line, Point, Surface,
-                       bare_lines, line_segments, lnodes_by_line,
-                       reconstruct_entities, tag_nodes)
+                       line_segments, lnodes_by_line, reconstruct_entities,
+                       tag_nodes)
 from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
                        spline_curvature)
-from .mesh import (LNODE, NULL_ID, PNODE, Mesh, TopologyError,
-                   is_domain_boundary_edge)
+from .mesh import LNODE, NULL_ID, PNODE, Mesh, TopologyError
 from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
                      reduced_mobility)
 from .remesh import remesh_pass, settle_offsets
@@ -444,29 +445,6 @@ def _sweep_graph(mesh, graph):
 
 # -- stencil completion ------------------------------------------------------
 
-def _junction_arms_shared(mesh, graph, members, nid):
-    """Arms of a shared junction from topology alone.
-
-    The usual two-element surface comparison cannot see an arm whose edge
-    straddles the partition cut, so arms are read off the entity structure:
-    chain-linked line members, adjacent far junctions of member-less lines
-    (``members`` is ``lnodes_by_line(mesh)``), and wall edges.  Each owner
-    reports what it holds; unions are exact.
-    """
-    pt = graph.points.get(int(mesh.entity[nid]))
-    arms: dict[int, np.ndarray] = {}
-    for m in mesh.node_neighbors(nid):
-        if int(mesh.topo[m]) == LNODE and \
-                nid in (int(mesh.prv[m]), int(mesh.nxt[m])):
-            arms[m] = mesh.pos[m]
-        elif int(mesh.topo[m]) == PNODE and pt is not None:
-            other = graph.points.get(int(mesh.entity[m]))
-            if other is not None and bare_lines(pt, other, members):
-                arms[m] = mesh.pos[m]
-        if m not in arms and is_domain_boundary_edge(mesh, nid, m):
-            arms[m] = mesh.pos[m]
-    return [(m, arms[m]) for m in sorted(arms)]
-
 @dataclass
 class StencilSupport:
     """Remote samples completing the curvature stencils at shared nodes.
@@ -488,20 +466,23 @@ class StencilSupport:
         return []
 
 
-def _walk_outward(mesh, lid, nid, link, limit=_STENCIL_DEPTH):
-    """Chain samples starting at ``link`` and moving away from ``nid``.
+def _walk_outward(mesh, lid, nid, link):
+    """Ids of the chain nodes starting at ``link`` and moving away from
+    ``nid``.
 
-    Stops at the sample limit, a chain break, or an attached endpoint
-    junction (which is still included, like segments do)."""
-    samples = []
+    Stops after ``_STENCIL_DEPTH`` nodes, at a chain break, or at an
+    attached endpoint junction (which is still included, like segments
+    do)."""
+    ids = []
     prev, cur = int(nid), int(link)
-    while len(samples) < limit and cur != NULL_ID and mesh.alive_node(cur):
-        samples.append((cur, mesh.pos[cur].copy()))
+    while len(ids) < _STENCIL_DEPTH and cur != NULL_ID \
+            and mesh.alive_node(cur):
+        ids.append(cur)
         if int(mesh.topo[cur]) != LNODE or int(mesh.entity[cur]) != lid:
             break
         a, b = int(mesh.prv[cur]), int(mesh.nxt[cur])
         prev, cur = cur, (b if a == prev else a if b == prev else NULL_ID)
-    return samples
+    return ids
 
 
 def _local_sides(mesh, lid, nid):
@@ -515,21 +496,21 @@ def _local_sides(mesh, lid, nid):
 
 
 def complete_temporary_nodes(transport: Transport, mesh: Mesh,
-                             graph: EntityGraph,
-                             members: dict[int, list[int]]) -> StencilSupport:
+                             plan: VelocityPlan) -> StencilSupport:
     """Exchange the remote stencil support of every shared node.
 
-    Each owner sends every co-owner, unasked, what it holds at each node
-    they share: up to ``_STENCIL_DEPTH`` chain nodes per direction at a line
-    node, its local arm endpoints at a junction; nodes ascending, co-owners
-    ascending.  The shared-node registry is symmetric, so one exchange hands
-    every owner the support of all its co-owners, and all owners assemble
-    the same merged picture, because every run is keyed by its first node
-    and the longest run per key wins.  Each co-owner's records travel as
-    one ``SUPPORT`` frame.  A frame whose sample counts do not match the
+    Each owner sends every co-owner, unasked, the current positions of the
+    samples ``plan`` records for each node they share: up to
+    ``_STENCIL_DEPTH`` chain nodes per direction at a line node, its local
+    arm endpoints at a junction; nodes ascending, co-owners ascending.  The
+    shared-node registry is symmetric, so one exchange hands every owner
+    the support of all its co-owners, and all owners assemble the same
+    merged picture, because every run is keyed by its first node and the
+    longest run per key wins.  Each co-owner's records travel as one
+    ``SUPPORT`` frame.  A frame whose sample counts do not match the
     samples it carries, or a record for a node its sender does not share
     with this worker or that disagrees with the local node class or line,
-    raises ``ProtocolError``.  ``members`` is ``lnodes_by_line(mesh)``.
+    raises ``ProtocolError``.
     """
     registry = mesh.shared
     support = StencilSupport()
@@ -550,23 +531,16 @@ def complete_temporary_nodes(transport: Transport, mesh: Mesh,
 
     # per co-owner: record heads, sample ids, sample positions
     outbox = [([], [], []) for _ in range(transport.size)]
-    for n in sorted(registry):
-        topo = int(mesh.topo[n])
-        if topo == LNODE:
-            lid = int(mesh.entity[n])
-            runs = _local_sides(mesh, lid, n)
-            for run in runs:
+    for n, mode, lid, runs in plan.stencils:
+        sampled = [list(zip(run, mesh.pos[run])) for run in runs]
+        if mode == MODE_CHAIN:
+            for run in sampled:
                 offer(lid, n, run)
-            records = [(MODE_CHAIN, lid, run) for run in runs]
-        elif topo == PNODE:
-            arms = _junction_arms_shared(mesh, graph, members, n)
-            support.point_arms[n] = {m: p.copy() for m, p in arms}
-            records = [(MODE_ARMS, NULL_ID, arms)]
         else:
-            continue
+            support.point_arms[n] = dict(sampled[0])
         for j in sorted(registry[n]):
             heads, ids, xy = outbox[j]
-            for mode, lid, run in records:
+            for run in sampled:
                 heads.append((mode, lid, n, len(run)))
                 ids.extend(m for m, _ in run)
                 xy.extend(p for _, p in run)
@@ -644,27 +618,43 @@ class PlannedSegment:
 
 @dataclass
 class VelocityPlan:
-    """The topology the velocities of one increment read.
+    """The topology of one increment's stencil completions and velocity
+    evaluations.
 
-    Motion moves nodes but never relinks them, so what one evaluation
-    finds by walking chains and patches holds for every substep: the line
-    segments, the shared L-nodes as (line, node) pairs, ascending by node,
-    and each junction with its arm ids, or ``None`` at a shared junction,
-    whose arms come from the stencil support."""
-    segments: list[PlannedSegment] = field(default_factory=list)
-    shared_lnodes: list[tuple[int, int]] = field(default_factory=list)
-    junctions: list[tuple[int, list[int] | None]] = \
+    Motion moves nodes but never relinks them, so what one look at the
+    chains and patches finds holds for every substep:
+
+    * ``stencils``: per shared L-node or junction, ascending by node, what
+      it sends its co-owners, as (node, mode, line, runs); ``runs`` are
+      lists of sample ids, the outward chain runs at an L-node and the one
+      list of arm ids at a junction, whose line is ``NULL_ID``;
+    * ``segments``: the line segments;
+    * ``junctions``: each junction that is not shared, with its arm ids; a
+      shared junction's arms come from the stencil support."""
+    stencils: list[tuple[int, int, int, list[list[int]]]] = \
         field(default_factory=list)
+    segments: list[PlannedSegment] = field(default_factory=list)
+    junctions: list[tuple[int, list[int]]] = field(default_factory=list)
 
 
-def velocity_plan(mesh: Mesh, graph: EntityGraph,
-                  members: dict[int, list[int]]) -> VelocityPlan:
-    """Plan the velocity evaluations of one increment, after junction
-    decomposition.  ``members`` is ``lnodes_by_line(mesh)``."""
-    def shared_lnode(n):
-        return mesh.topo[n] == LNODE and mesh.is_shared(int(n))
-
+def velocity_plan(mesh: Mesh, graph: EntityGraph) -> VelocityPlan:
+    """Plan the stencil completions and velocity evaluations of one
+    increment, after junction decomposition."""
+    members = lnodes_by_line(mesh)
     plan = VelocityPlan()
+    for n in sorted(mesh.shared):
+        mode = _SUPPORT_MODE.get(int(mesh.topo[n]))
+        if mode == MODE_CHAIN:
+            lid = int(mesh.entity[n])
+            plan.stencils.append((n, mode, lid, _local_sides(mesh, lid, n)))
+        elif mode == MODE_ARMS:
+            plan.stencils.append(
+                (n, mode, NULL_ID, [junction_arms(mesh, graph, members, n)]))
+    shared_lnodes = [n for n, mode, _, _ in plan.stencils
+                     if mode == MODE_CHAIN]
+    shared_junctions = {n for n, mode, _, _ in plan.stencils
+                        if mode == MODE_ARMS}
+
     for lid in sorted(graph.lines):
         for seg in line_segments(mesh, lid, members.get(lid, [])):
             ids = np.asarray(seg.nodes)
@@ -675,19 +665,16 @@ def velocity_plan(mesh: Mesh, graph: EntityGraph,
                 continue
             if len(ids) == 1:
                 continue  # lone shared node; its window covers it
-            head = int(ids[1]) if shared_lnode(ids[0]) else NULL_ID
-            tail = int(ids[-2]) if shared_lnode(ids[-1]) else NULL_ID
-            rows = np.flatnonzero((mesh.topo[ids] == LNODE) & np.array(
-                [not mesh.is_shared(int(n)) for n in ids]))
+            shared = np.isin(ids, shared_lnodes)
+            head = int(ids[1]) if shared[0] else NULL_ID
+            tail = int(ids[-2]) if shared[-1] else NULL_ID
+            rows = np.flatnonzero((mesh.topo[ids] == LNODE) & ~shared)
             plan.segments.append(PlannedSegment(
                 lid, ids, False, head, tail, ids[rows], rows))
-    plan.shared_lnodes = [(int(mesh.entity[n]), n) for n in sorted(mesh.shared)
-                          if mesh.topo[n] == LNODE]
     for pid in sorted(graph.points):
         n = graph.points[pid].node
-        arms = None if mesh.is_shared(n) else \
-            [m for m, _ in junction_arms(mesh, n)]
-        plan.junctions.append((n, arms))
+        if n not in shared_junctions:
+            plan.junctions.append((n, junction_arms(mesh, graph, members, n)))
     return plan
 
 
@@ -727,20 +714,20 @@ def node_velocities_parallel(mesh: Mesh, mobility: float,
         chains.append(pts)
         ends.append(PERIODIC if seg.closed else NATURAL)
         writes.append((seg.write_ids, lead + seg.write_rows))
-    for lid, n in plan.shared_lnodes:
-        knots, index = _shared_window(mesh, support, lid, n)
-        chains.append(knots)
-        ends.append(NOT_A_KNOT)
-        writes.append((np.array([n]), np.array([index])))
+    for n, mode, lid, _ in plan.stencils:
+        if mode == MODE_CHAIN:
+            knots, index = _shared_window(mesh, support, lid, n)
+            chains.append(knots)
+            ends.append(NOT_A_KNOT)
+            writes.append((np.array([n]), np.array([index])))
     for (ids, rows), kap in zip(writes, spline_curvature(chains, ends)):
         vel[ids] = mobility * kap[rows]
 
     for n, arms in plan.junctions:
-        if arms is None:
-            found = support.point_arms.get(n, [])
-        else:
-            found = [(m, pos[m]) for m in arms]
-        vel[n] = mobility * junction_curvature(pos[n], found)
+        vel[n] = mobility * junction_curvature(
+            pos[n], [(m, pos[m]) for m in arms])
+    for n, arms in support.point_arms.items():
+        vel[n] = mobility * junction_curvature(pos[n], arms)
     constrain_to_walls(mesh, vel)
     return vel
 
@@ -807,7 +794,8 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     Junctions decompose before stencils are gathered: a peel can rewire a
     chain within stencil reach, and co-owners must fit identical knots.
     Motion never relinks nodes, so one ``velocity_plan`` built after the
-    decomposition serves every velocity evaluation of the increment.
+    decomposition serves every stencil completion and velocity evaluation
+    of the increment.
     The motion substep count is chosen so no node travels more than
     ``MAX_TRAVEL_FRAC * h`` per substep, from the fastest speed of any
     worker (a one-value ``SPEEDS`` frame), with stencil support and
@@ -830,9 +818,8 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     remesh_pass(state, scope=scope)
 
     decompose_junctions(mesh, graph, state.alloc, state.params)
-    members = lnodes_by_line(mesh)
-    plan = velocity_plan(mesh, graph, members)
-    support = complete_temporary_nodes(transport, mesh, graph, members)
+    plan = velocity_plan(mesh, graph)
+    support = complete_temporary_nodes(transport, mesh, plan)
     vel = node_velocities_parallel(mesh, mobility, support, plan)
 
     speeds = np.linalg.norm(vel, axis=1)
@@ -842,8 +829,7 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     n_sub = max(1, int(np.ceil(vmax * dt / cap))) if vmax > 0.0 else 1
     for i in range(n_sub):
         if i > 0:
-            support = complete_temporary_nodes(transport, mesh, graph,
-                                               members)
+            support = complete_temporary_nodes(transport, mesh, plan)
             vel = node_velocities_parallel(mesh, mobility, support, plan)
         moving = mesh.alive_nodes()
         moving = moving[(vel[moving] != 0.0).any(axis=1)]

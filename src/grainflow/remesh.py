@@ -35,11 +35,13 @@ from .entities import (EntityGraph, KIND_LINE, bare_lines,
                        is_interface_edge, lnodes_by_line)
 from .mesh import (Mesh, NULL_ID, PNODE, LNODE, SNODE, BND_NONE, BND_CORNER,
                    BND_TANGENT_X, BND_TANGENT_Y, TopologyError,
-                   is_domain_boundary_edge, _tri_area)
+                   MIN_AREA, is_domain_boundary_edge, _tri_area)
 from .state import KIND_ELEM, KIND_NODE, IdAllocator, RemeshParams, SimState
 
-MIN_AREA = 1e-12
 SQRT3_4 = 4.0 * np.sqrt(3.0)
+
+# elements of a lower shape quality are swap candidates
+QUALITY_MIN = 0.3
 
 # flip back-off: at most this many halving rounds, and a node whose offset
 # factor drops below the floor stops moving altogether
@@ -78,11 +80,10 @@ class RemeshCtx:
         self.params = params
         self.line_count: dict[int, int] = {
             lid: len(v) for lid, v in lnodes_by_line(mesh).items()}
-        self.surf_count: dict[int, int] = {}
-        eids = mesh.alive_elems()
-        for s in mesh.surf[eids]:
-            s = int(s)
-            self.surf_count[s] = self.surf_count.get(s, 0) + 1
+        surfs, counts = np.unique(mesh.surf[mesh.alive_elems()],
+                                  return_counts=True)
+        self.surf_count: dict[int, int] = dict(zip(surfs.tolist(),
+                                                   counts.tolist()))
 
     def whole_line_edge(self, a: int, b: int) -> int | None:
         """Line id if edge (a, b) realizes an entire L-node-free line."""
@@ -767,7 +768,7 @@ def swap_sweep(ctx: RemeshCtx, scope: set[int] | None = None) -> int:
         if len(eids) == 0:
             return n_swapped
         q_shape, _ = element_qualities(mesh, eids, ctx.params.h)
-        bad = eids[q_shape < ctx.params.quality_min]
+        bad = eids[q_shape < QUALITY_MIN]
         if scope is not None and len(bad):
             m = np.array([bool(set(map(int, mesh.tri[e])) & scope)
                           for e in bad])

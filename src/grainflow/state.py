@@ -25,6 +25,11 @@ KIND_ELEM = "E"
 # the kinds in the order their ceilings travel
 ID_KINDS = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE, KIND_SURFACE)
 
+# remeshing thresholds in units of h: edges shorter than COLLAPSE_FRAC
+# collapse, edges longer than SPLIT_FRAC split
+COLLAPSE_FRAC = 0.6
+SPLIT_FRAC = 1.4
+
 
 def id_ceilings(mesh: Mesh, graph: EntityGraph) -> list[int]:
     """One past the highest id ``mesh`` and ``graph`` use, per kind of
@@ -64,17 +69,14 @@ class IdAllocator:
 class RemeshParams:
     """Target spacing and the derived remeshing thresholds."""
     h: float
-    collapse_frac: float = 0.6
-    split_frac: float = 1.4
-    quality_min: float = 0.3
 
     @property
     def delta_c(self) -> float:
-        return self.collapse_frac * self.h
+        return COLLAPSE_FRAC * self.h
 
     @property
     def delta_s(self) -> float:
-        return self.split_frac * self.h
+        return SPLIT_FRAC * self.h
 
 
 @dataclass

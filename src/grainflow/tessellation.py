@@ -16,13 +16,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .mesh import DEGENERATE_AREA, Mesh, build_mesh
+from .mesh import MIN_AREA, Mesh, build_mesh
 
 MEDIAN_RADIUS = 0.017    # mm
 RADIUS_STD = 0.006       # mm, of the distribution itself
 MIN_RADIUS = 0.011       # mm
 MAX_RADIUS = 0.04        # mm
 SEPARATION_FRAC = 0.7    # of the radius sum, between any two seeds
+TRIES_PER_SEED = 200     # darts thrown per requested seed before giving up
 
 # Vertex coordinate quantum for stitching.  Coarse enough that the same
 # geometric vertex computed through different clip sequences cannot land in
@@ -51,18 +52,16 @@ def sample_radii(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def throw_seeds(rng: np.random.Generator, width: float, height: float,
-                count: int, max_tries: int | None = None):
+                count: int):
     """Place up to ``count`` seeds honoring the separation rule.
 
     Returns (centers, radii); fewer seeds come back when the domain jams
     before the request is met.
     """
-    if max_tries is None:
-        max_tries = 200 * count
     centers = np.empty((count, 2))
     radii = np.empty(count)
     n = 0
-    for _ in range(max_tries):
+    for _ in range(TRIES_PER_SEED * count):
         if n == count:
             break
         r = sample_radii(rng, 1)[0]
@@ -261,7 +260,7 @@ def discretize(cells: list[np.ndarray], h: float) -> Mesh:
         # Snapping can kink a shared edge inward; hull triangles over such a
         # dent belong to the neighbouring cell, so keep only simplices whose
         # centroid falls inside this cell's own ring.
-        keep = np.abs(area) > DEGENERATE_AREA
+        keep = np.abs(area) > MIN_AREA
         keep &= _inside_ring(ring_pos, p.mean(axis=1))
         for tri in tris[keep]:
             elements.append((len(elements),

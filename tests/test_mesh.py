@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grainflow.mesh import (
     Mesh, MeshError, TopologyError, build_mesh, signed_area, element_patch,
     dual_graph, write_vtk, is_domain_boundary_edge,
-    BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, LNODE, NULL_ID, SNODE,
+    BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, BND_CORNER, NULL_ID,
 )
 from grainflow.tessellation import tessellate
 from grainflow.wire import MESH, decode_arrays, encode_arrays
@@ -95,6 +95,17 @@ def edges_by_rows(mesh, with_elems=False):
     return edges, ee
 
 
+def mesh_of(nids, pos, eids, tri, surf):
+    """A mesh of the given nodes and elements, elements added in ascending
+    id order."""
+    m = Mesh()
+    for n, xy in zip(nids, pos):
+        m.add_node(n, xy)
+    for k in np.argsort(eids):
+        m.add_element(eids[k], tri[k], surf[k])
+    return m
+
+
 @st.composite
 def tombstoned_meshes(draw):
     """A grid mesh under sparse random ids, with some elements removed."""
@@ -108,8 +119,7 @@ def tombstoned_meshes(draw):
         st.integers(0, 4 * len(eids)), min_size=len(eids),
         max_size=len(eids), unique=True)), dtype=np.int64)
     corners = draw(st.permutations(range(3)))
-    m = Mesh.from_arrays(node_ids, pos, elem_ids, node_ids[tri][:, corners],
-                         surf)
+    m = mesh_of(node_ids, pos, elem_ids, node_ids[tri][:, corners], surf)
     for e in draw(st.lists(st.sampled_from(elem_ids.tolist()), unique=True,
                            max_size=len(elem_ids))):
         m.remove_element(e)
@@ -129,7 +139,7 @@ def test_edge_array_matches_row_unique(m):
 
 def test_edge_array_three_elements_raise():
     # three elements on edge (3, 7), among tombstoned ids on both sides
-    m = Mesh.from_arrays(
+    m = mesh_of(
         [3, 7, 8, 9, 12], [(0, 0), (1, 0), (0, 1), (0, -1), (-1, 0.5)],
         [2, 5, 6, 9], [(3, 7, 8), (3, 9, 7), (8, 9, 12), (3, 7, 12)],
         [0, 0, 0, 0])
@@ -262,36 +272,3 @@ def test_areas_vectorized_matches_scalar():
     for eid, a in zip(m.alive_elems(), areas):
         assert a == pytest.approx(signed_area(m, eid))
     assert areas.sum() == pytest.approx(1.0)
-
-
-def test_from_arrays_matches_incremental_build():
-    ref = grid_mesh(4, 3, tag_fn=lambda cx, cy: int(cx > 0.5))
-    ref.remove_element(5)
-    ref.topo[7], ref.entity[7], ref.prv[7], ref.nxt[7] = LNODE, 42, 6, 8
-    nids, eids = ref.alive_nodes(), ref.alive_elems()[::-1]
-    m = Mesh.from_arrays(nids, ref.pos[nids], eids, ref.tri[eids],
-                         ref.surf[eids], topo=ref.topo[nids],
-                         entity=ref.entity[nids], bnd=ref.bnd[nids],
-                         prv=ref.prv[nids], nxt=ref.nxt[nids])
-    assert np.array_equal(m.alive_nodes(), nids)
-    assert np.array_equal(m.alive_elems(), ref.alive_elems())
-    for name in ("pos", "topo", "entity", "bnd", "prv", "nxt"):
-        assert np.array_equal(getattr(m, name)[nids],
-                              getattr(ref, name)[nids]), name
-    assert np.array_equal(m.tri[eids], ref.tri[eids])
-    assert np.array_equal(m.surf[eids], ref.surf[eids])
-    assert m.n2e == ref.n2e
-    bare = Mesh.from_arrays(nids, ref.pos[nids], eids, ref.tri[eids],
-                            ref.surf[eids])
-    assert (bare.topo[nids] == SNODE).all()
-    assert (bare.prv[nids] == NULL_ID).all()
-
-
-def test_from_arrays_rejects_bad_input():
-    pos = np.zeros((3, 2))
-    with pytest.raises(MeshError):
-        Mesh.from_arrays([0, 1, 1], pos, [0], [(0, 1, 2)], [0])
-    with pytest.raises(MeshError):
-        Mesh.from_arrays([0, 1, 2], pos, [0, 0], [(0, 1, 2)] * 2, [0, 0])
-    with pytest.raises(MeshError):
-        Mesh.from_arrays([0, 1, 2], pos, [0], [(0, 1, 3)], [0])

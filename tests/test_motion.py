@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from grainflow.entities import KIND_LINE, lnodes_by_line, recanonicalize_lines
+from grainflow.entities import (KIND_LINE, is_interface_edge, lnodes_by_line,
+                                recanonicalize_lines)
 from grainflow.geometry import junction_curvature
 from grainflow.mesh import (BND_CORNER, BND_NONE, BND_TANGENT_X, LNODE, PNODE,
                             SNODE, build_mesh)
@@ -32,10 +33,13 @@ def total_area(mesh):
 
 
 def velocities(mesh, graph, mobility):
-    members = lnodes_by_line(mesh)
+    plan = velocity_plan(mesh, graph)
     return one_rank(lambda t: node_velocities_parallel(
-        mesh, mobility, complete_temporary_nodes(t, mesh, graph, members),
-        velocity_plan(mesh, graph, members)))
+        mesh, mobility, complete_temporary_nodes(t, mesh, plan), plan))
+
+
+def arms_of(mesh, graph, nid):
+    return junction_arms(mesh, graph, lnodes_by_line(mesh), nid)
 
 
 def increment(state, dt, mobility=None):
@@ -112,9 +116,10 @@ def test_junction_velocity_matches_arm_formula(tjunction_mesh):
     p = interior[0]
     m = reduced_mobility()
     vel = velocities(mesh, graph, m)
-    arms = junction_arms(mesh, p)
+    arms = arms_of(mesh, graph, p)
     assert len(arms) == 3
-    want = m * junction_curvature(mesh.pos[p], arms)
+    want = m * junction_curvature(mesh.pos[p],
+                                  [(a, mesh.pos[a]) for a in arms])
     assert np.allclose(vel[p], want, rtol=0, atol=1e-18)
 
 
@@ -151,7 +156,7 @@ def quad_center_node(mesh):
 def test_decompose_quadruple_point(quad_mesh):
     mesh, graph = reconstructed(quad_mesh)
     p = quad_center_node(mesh)
-    assert len(junction_arms(mesh, p)) == 4
+    assert len(arms_of(mesh, graph, p)) == 4
     n_pts, n_lines = len(graph.points), len(graph.lines)
     area0 = total_area(mesh)
     state = make_state(mesh, graph, h=0.125)
@@ -159,11 +164,11 @@ def test_decompose_quadruple_point(quad_mesh):
     assert n == 1
     assert len(graph.points) == n_pts + 1
     assert len(graph.lines) == n_lines + 1
-    assert len(junction_arms(mesh, p)) == 3
+    assert len(arms_of(mesh, graph, p)) == 3
     m_pid = max(graph.points)
     m_node = graph.points[m_pid].node
     assert mesh.topo[m_node] == PNODE
-    assert len(junction_arms(mesh, m_node)) == 3
+    assert len(arms_of(mesh, graph, m_node)) == 3
     # the two triple points are joined by a direct interface edge
     assert m_node in mesh.node_neighbors(p)
     assert total_area(mesh) == pytest.approx(area0, abs=1e-12)
@@ -176,18 +181,22 @@ def test_decompose_quadruple_point(quad_mesh):
     assert decompose_junctions(mesh, graph, state.alloc, state.params) == 0
 
 
-def test_decompose_direct_line_arms():
-    # every arm of this quadruple point is a junction-junction line
-    mesh = grid_mesh(2, 2, tag_fn=lambda cx, cy: (0 if cx < 0.5 else 1)
+@pytest.fixture
+def direct_line_mesh():
+    """A quadruple point each of whose arms is a junction-junction line."""
+    return grid_mesh(2, 2, tag_fn=lambda cx, cy: (0 if cx < 0.5 else 1)
                      + (0 if cy < 0.5 else 2))
-    mesh, graph = reconstructed(mesh)
+
+
+def test_decompose_direct_line_arms(direct_line_mesh):
+    mesh, graph = reconstructed(direct_line_mesh)
     p = quad_center_node(mesh)
     state = make_state(mesh, graph, h=0.5)
     assert decompose_junctions(mesh, graph, state.alloc, state.params) == 1
-    assert len(junction_arms(mesh, p)) == 3
+    assert len(arms_of(mesh, graph, p)) == 3
     m_pid = max(graph.points)
     m_node = graph.points[m_pid].node
-    assert len(junction_arms(mesh, m_node)) == 3
+    assert len(arms_of(mesh, graph, m_node)) == 3
     # both peeled arms reconnect to the new point in the entity graph
     conns = {lid for k, lid in graph.points[m_pid].connections
              if k == KIND_LINE}
@@ -197,13 +206,33 @@ def test_decompose_direct_line_arms():
     recanonicalize_lines(mesh)
 
 
+@pytest.mark.parametrize("fixture, h", [("tjunction_mesh", 0.125),
+                                        ("quad_mesh", 0.125),
+                                        ("direct_line_mesh", 0.5)])
+def test_junction_arms_match_interface_edges(fixture, h, request):
+    # with every arm edge local, the entity-structure rule finds exactly
+    # the edges whose two elements differ or that follow a wall
+    mesh, graph = reconstructed(request.getfixturevalue(fixture))
+    state = make_state(mesh, graph, h)
+    for decompose in (False, True):
+        if decompose:
+            decompose_junctions(mesh, graph, state.alloc, state.params)
+        members = lnodes_by_line(mesh)
+        for pt in graph.points.values():
+            n = pt.node
+            want = [m for m in mesh.node_neighbors(n)
+                    if is_interface_edge(mesh, n, m)]
+            assert junction_arms(mesh, graph, members, n) == want, \
+                (decompose, n)
+
+
 def test_decompose_skips_shared_junction(quad_mesh):
     mesh, graph = reconstructed(quad_mesh)
     p = quad_center_node(mesh)
     mesh.shared[p] = {1}
     state = make_state(mesh, graph, h=0.125)
     assert decompose_junctions(mesh, graph, state.alloc, state.params) == 0
-    assert len(junction_arms(mesh, p)) == 4
+    assert len(arms_of(mesh, graph, p)) == 4
 
 
 def test_increment_keeps_straight_interface_still(strip_mesh):

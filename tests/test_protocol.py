@@ -20,12 +20,13 @@ from grainflow import geometry
 from grainflow import protocol as pr
 from grainflow import runner
 from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
-                                KIND_SURFACE, line_segments, lnodes_by_line)
+                                KIND_SURFACE, line_segments)
 from grainflow.geometry import NATURAL, NOT_A_KNOT, PERIODIC
-from grainflow.mesh import LNODE, NULL_ID, PNODE, SNODE, Mesh, TopologyError
+from grainflow.mesh import (LNODE, MIN_AREA, NULL_ID, PNODE, SNODE, Mesh,
+                            TopologyError)
 from grainflow.motion import reduced_mobility
 from grainflow.partitioning import initial_partition
-from grainflow.remesh import (MIN_AREA, RemeshCtx, settle_offsets, split_edge,
+from grainflow.remesh import (RemeshCtx, settle_offsets, split_edge,
                               try_collapse, try_swap)
 from grainflow.runner import RunConfig, run
 from grainflow.state import ID_KINDS, KIND_ELEM, KIND_NODE, RemeshParams
@@ -536,8 +537,15 @@ def unsplit_velocities(make_mesh, mob):
     """Velocities of the whole mesh in one piece: nothing shared, no
     remote stencil samples."""
     full, graph = reconstructed(make_mesh())
-    plan = pr.velocity_plan(full, graph, lnodes_by_line(full))
+    plan = pr.velocity_plan(full, graph)
     return pr.node_velocities_parallel(full, mob, pr.StencilSupport(), plan)
+
+
+def velocities(t, st, mob):
+    """Velocities of one worker's slice from a fresh plan."""
+    plan = pr.velocity_plan(st.mesh, st.graph)
+    return pr.node_velocities_parallel(
+        st.mesh, mob, pr.complete_temporary_nodes(t, st.mesh, plan), plan)
 
 
 def test_velocities_agree_across_owners_and_with_sequential():
@@ -546,10 +554,7 @@ def test_velocities_agree_across_owners_and_with_sequential():
 
     def worker(t):
         st = booted(t, make_tjunction, x_split)
-        members = lnodes_by_line(st.mesh)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        plan = pr.velocity_plan(st.mesh, st.graph, members)
-        vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
+        vel = velocities(t, st, mob)
         return (sorted(int(n) for n in st.mesh.alive_nodes()),
                 set(st.mesh.shared),
                 {int(n): vel[n].copy() for n in st.mesh.alive_nodes()})
@@ -576,9 +581,8 @@ def test_velocities_cut_across_interface():
 
     def worker(t):
         st = booted(t, make_strip, y_split)
-        members = lnodes_by_line(st.mesh)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        plan = pr.velocity_plan(st.mesh, st.graph)
+        sup = pr.complete_temporary_nodes(t, st.mesh, plan)
         vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
         sides = {n: sorted(r[0][0] for r in sup.line_sides.get(
             (int(st.mesh.entity[n]), n), [])) for n in st.mesh.shared
@@ -622,11 +626,10 @@ def test_velocities_make_one_banded_solve(monkeypatch):
 
     def worker(t):
         st = booted(t, lambda: grid_mesh(8, 8, tag_fn=tag), y_split)
-        members = lnodes_by_line(st.mesh)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        plan = pr.velocity_plan(st.mesh, st.graph)
+        sup = pr.complete_temporary_nodes(t, st.mesh, plan)
         key = threading.get_ident()
         calls.pop(key, None)
-        plan = pr.velocity_plan(st.mesh, st.graph, members)
         pr.node_velocities_parallel(st.mesh, reduced_mobility(), sup, plan)
         return calls.get(key, 0), kinds[key]
 
@@ -649,8 +652,8 @@ def test_stencil_support_is_one_exchange():
             return real(payloads)
 
         t.all_to_all = counting
-        members = lnodes_by_line(st.mesh)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
+        sup = pr.complete_temporary_nodes(
+            t, st.mesh, pr.velocity_plan(st.mesh, st.graph))
         classes = {int(st.mesh.topo[n]) for n in st.mesh.shared}
         return calls, classes, sup
 
@@ -688,8 +691,8 @@ class PushedBy1:
 def pushed_by_1(st, records, heads=None):
     """Stencil support on rank 0 after rank 1 pushed ``records``."""
     return pr.complete_temporary_nodes(
-        PushedBy1(support_frame(records, heads)), st.mesh, st.graph,
-        lnodes_by_line(st.mesh))
+        PushedBy1(support_frame(records, heads)), st.mesh,
+        pr.velocity_plan(st.mesh, st.graph))
 
 
 def strip_rank0():
@@ -740,32 +743,46 @@ def test_stencil_support_mode_or_line_mismatch_raises():
         pushed_by_1(st, [other])
 
 
+def support_bits(sup):
+    """Stencil support as plain data: ids and position bytes."""
+    def run_bits(run):
+        return [(m, p.tobytes()) for m, p in run]
+    return ({k: [run_bits(r) for r in runs]
+             for k, runs in sup.line_sides.items()},
+            {n: run_bits(arms) for n, arms in sup.point_arms.items()})
+
+
 def test_velocity_plan_serves_every_substep():
     # motion moves nodes but never relinks them: after a move, the plan
-    # built before it gives the velocities a fresh plan gives, bit for bit,
-    # on both owners of a cut that severs an interface mid-chain
+    # built before it gives the stencil support and the velocities a fresh
+    # plan gives, bit for bit, on both owners of a cut that severs an
+    # interface mid-chain and passes through the junction
     mob = reduced_mobility()
 
     def worker(t):
         st = booted(t, make_tjunction, lambda cx, cy: 0 if cy < 0.5 else 1)
-        members = lnodes_by_line(st.mesh)
-        plan = pr.velocity_plan(st.mesh, st.graph, members)
+        plan = pr.velocity_plan(st.mesh, st.graph)
         vel = pr.node_velocities_parallel(
-            st.mesh, mob, pr.complete_temporary_nodes(
-                t, st.mesh, st.graph, members), plan)
+            st.mesh, mob, pr.complete_temporary_nodes(t, st.mesh, plan), plan)
         moving = st.mesh.alive_nodes()
         before = st.mesh.pos.copy()
         pr.parallel_move(t, st.mesh, moving, vel[moving] * DT)
         assert not np.array_equal(st.mesh.pos, before)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        fresh = pr.velocity_plan(st.mesh, st.graph, lnodes_by_line(st.mesh))
-        return (pr.node_velocities_parallel(st.mesh, mob, sup, plan),
-                pr.node_velocities_parallel(st.mesh, mob, sup, fresh),
-                plan.shared_lnodes, any(seg.head != NULL_ID or seg.tail
-                                        != NULL_ID for seg in plan.segments))
+        fresh = pr.velocity_plan(st.mesh, st.graph)
+        sup = pr.complete_temporary_nodes(t, st.mesh, plan)
+        sup_fresh = pr.complete_temporary_nodes(t, st.mesh, fresh)
+        return (support_bits(sup), support_bits(sup_fresh),
+                pr.node_velocities_parallel(st.mesh, mob, sup, plan),
+                pr.node_velocities_parallel(st.mesh, mob, sup_fresh, fresh),
+                {mode for _, mode, _, _ in plan.stencils},
+                any(seg.head != NULL_ID or seg.tail != NULL_ID
+                    for seg in plan.segments))
 
-    for kept, fresh, shared_lnodes, extended in run_workers(2, worker):
-        assert shared_lnodes and extended
+    for kept_sup, fresh_sup, kept, fresh, modes, extended in run_workers(
+            2, worker):
+        assert modes == {MODE_CHAIN, MODE_ARMS} and extended
+        assert kept_sup == fresh_sup
+        assert kept_sup[0] and kept_sup[1]
         assert np.array_equal(kept, fresh)
         assert (kept != 0.0).any()
 
@@ -776,11 +793,7 @@ def test_np1_velocities_bitwise_sequential():
 
     def worker(t):
         st = booted(t, make_tjunction, lambda cx, cy: 0)
-        members = lnodes_by_line(st.mesh)
-        sup = pr.complete_temporary_nodes(t, st.mesh, st.graph, members)
-        plan = pr.velocity_plan(st.mesh, st.graph, members)
-        vel = pr.node_velocities_parallel(st.mesh, mob, sup, plan)
-        return vel
+        return velocities(t, st, mob)
 
     (vel,) = run_workers(1, worker)
     assert np.array_equal(vel, vel_seq)
@@ -1190,7 +1203,5 @@ def test_walk_outward_stops_at_junction():
     mesh.prv[3], mesh.nxt[3] = 2, 4
     mesh.prv[4], mesh.nxt[4] = 3, NULL_ID
 
-    run = pr._walk_outward(mesh, 7, 3, 2)
-    assert [m for m, _ in run] == [2, 1]  # endpoint junction included
-    run = pr._walk_outward(mesh, 7, 3, 4)
-    assert [m for m, _ in run] == [4]  # chain break stops the walk
+    assert pr._walk_outward(mesh, 7, 3, 2) == [2, 1]  # endpoint junction included
+    assert pr._walk_outward(mesh, 7, 3, 4) == [4]  # chain break stops the walk
