@@ -20,7 +20,7 @@ from grainflow import geometry
 from grainflow import protocol as pr
 from grainflow import runner
 from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
-                                KIND_SURFACE, line_segments)
+                                KIND_SURFACE)
 from grainflow.geometry import NATURAL, NOT_A_KNOT, PERIODIC
 from grainflow.mesh import (LNODE, MIN_AREA, NULL_ID, PNODE, SNODE, Mesh,
                             TopologyError)
