@@ -118,14 +118,14 @@ def test_closed_loop_line():
 
 
 # sha256 of the node and element entity arrays and the sorted entity graph,
-# point connections included, after reconstructing 0.2 mm / 30-grain
-# tessellations (h = 0.004 mm); recorded before reconstruction took its chain
-# links from the ``recanonicalize_lines`` tracer.
+# each point's connected line ids included, after reconstructing 0.2 mm /
+# 30-grain tessellations (h = 0.004 mm); recorded again when connections
+# stopped carrying an entity-kind tag, with only that tag dropped.
 GOLDEN_RECONSTRUCTION = {
-    0: "0ad80f668f38e9091a544fc2dfa9dd7b6891fd6ff80de460eada69f1dfa56ea2",
-    1: "c404d0332d0d369ecce89b205b9f1c318ba7307b19411525d9d05c819682d17c",
-    2: "00d797a3dda2ee589381d54ebecba819ff1692e2e6ced5e7a0d3dbedaf303f52",
-    3: "272e7fffde5b4a46312afeaa7ad4da33adbb23032db110577fe703fe507f9493",
+    0: "7984213f5bf76ad1e977b69904280e3edb2b0a654856128789acef75619c7f61",
+    1: "b7a308876bdcf98fb4c5eac67f2b3f766e6bd3bd29a7862778882cbb9a600992",
+    2: "e1e1e83ebaf5ddb5f1cc423ee79b7009134b58acb0f6521aad35f88b143dc95c",
+    3: "09c5e39f423637ad1413a34f6593509309e76f3da6634d4952545d2bdbebac86",
 }
 
 
@@ -138,7 +138,7 @@ def test_reconstruction_golden(seed):
     for name in ("entity", "prv", "nxt", "topo", "surf"):
         h.update(getattr(m, name).tobytes())
     h.update(repr((
-        sorted((pid, p.node, sorted(p.connections))
+        sorted((pid, p.node, sorted(lid for _, lid in p.connections))
                for pid, p in g.points.items()),
         sorted(g.lines),
         surface_tags(m, g, tags),
