@@ -2,11 +2,19 @@
 
 The mesh alone only knows triangles and surface tags.  This module derives
 the geometric skeleton on top of it: every node is classed by how many
-surfaces it touches, boundary lines are traced as chains of L-nodes between
-junction points, and each connected patch of same-tag elements becomes a
-surface entity.  Reconstruction numbers each kind 0, 1, 2, ... in discovery
-order, so every worker that reconstructs the same mesh gets the same ids;
-entities created later take theirs from the worker's ``state.IdAllocator``.
+surfaces it touches, each connected patch of same-tag elements becomes a
+surface, boundary lines are traced as chains of L-nodes between junction
+points, and every junction becomes a point that names the lines ending
+there.  Reconstruction numbers each kind 0, 1, 2, ... in discovery order,
+so every worker that reconstructs the same mesh gets the same ids; entities
+created later take theirs from the worker's ``state.IdAllocator``.
+
+Only points are objects.  A surface is the element tag ``Mesh.surf`` and
+lives as long as one of its elements does.  A line is named by the
+``Mesh.entity`` of its L-nodes and by the connections of the points it
+ends at (``line_ids``); a line whose interior nodes all collapsed away has
+no L-nodes and lives on as a single mesh edge between two points that both
+name it.
 
 A line is stored implicitly: each of its L-nodes carries the line id plus
 links to the previous and next node on the chain (NULL_ID at a break, a
@@ -27,42 +35,21 @@ import numpy as np
 from .mesh import (Mesh, TopologyError, NULL_ID, PNODE, LNODE, SNODE,
                    BND_NONE, BND_CORNER, is_domain_boundary_edge)
 
-KIND_POINT = "P"
-KIND_LINE = "L"
-KIND_SURFACE = "S"
-
 
 @dataclass
 class Point:
-    """Junction entity anchored at a single P-node."""
+    """Junction entity anchored at a single P-node; ``connections`` holds
+    the ids of the lines ending there."""
     id: int
     node: int
-    connections: set[tuple[str, int]] = field(default_factory=set)
-
-
-@dataclass
-class Line:
-    """Boundary line entity; its L-nodes are found via ``Mesh.entity``.
-
-    A line whose interior nodes all collapsed away has no L-nodes and lives
-    on as a single mesh edge between its two endpoint P-nodes.
-    """
-    id: int
-
-
-@dataclass
-class Surface:
-    """Grain entity; its elements are found via ``Mesh.surf``."""
-    id: int
+    connections: set[int] = field(default_factory=set)
 
 
 class EntityGraph:
-    """All live entities of one partition."""
+    """The points of one partition, by point id."""
 
     def __init__(self) -> None:
         self.points: dict[int, Point] = {}
-        self.lines: dict[int, Line] = {}
-        self.surfaces: dict[int, Surface] = {}
 
     def point_at(self, mesh: Mesh, nid: int) -> Point:
         pid = int(mesh.entity[nid])
@@ -124,33 +111,34 @@ def is_interface_edge(mesh: Mesh, a: int, b: int) -> bool:
 
 
 def reconstruct_entities(mesh: Mesh) -> EntityGraph:
-    """Build the entity graph of a tagged mesh and renumber its surfaces.
+    """Build the points of a tagged mesh and number its surfaces and lines.
 
     Surfaces are edge-connected components of same-tag elements, discovered
     in ascending element id order; element tags are rewritten to the new
     surface ids.  Every P-node becomes a point.  Each connected run of
     L-nodes becomes a line, numbered in ascending order of the run's
-    smallest node and linked by the ``recanonicalize_lines`` tracer; bare
-    junction-to-junction interface edges come after them.  A point's
-    connections list the lines ending there.
+    smallest node, written into the run's ``Mesh.entity`` and linked by the
+    ``recanonicalize_lines`` tracer; bare junction-to-junction interface
+    edges come after them.  A point's connections list the lines ending
+    there.
     """
     graph = EntityGraph()
-    _build_surfaces(mesh, graph)
+    _build_surfaces(mesh)
     adj = _interface_adjacency(mesh)
     _build_points(mesh, graph)
     _build_lines(mesh, graph, adj)
     return graph
 
 
-def _build_surfaces(mesh: Mesh, graph: EntityGraph) -> None:
+def _build_surfaces(mesh: Mesh) -> None:
     eids = mesh.alive_elems()
     comp = {}
+    sid = -1
     for seed in eids:
         seed = int(seed)
         if seed in comp:
             continue
-        sid = len(graph.surfaces)
-        graph.surfaces[sid] = Surface(sid)
+        sid += 1
         tag = int(mesh.surf[seed])
         stack = [seed]
         comp[seed] = sid
@@ -196,23 +184,22 @@ def _build_points(mesh: Mesh, graph: EntityGraph) -> None:
 
 
 def _build_lines(mesh: Mesh, graph: EntityGraph, adj: dict[int, list[int]]) -> None:
-    for run in _link_runs(mesh, adj):
-        lid = len(graph.lines)
-        graph.lines[lid] = Line(lid)
+    runs = _link_runs(mesh, adj)
+    for lid, run in enumerate(runs):
         mesh.entity[run] = lid
         for end in (int(mesh.prv[run[0]]), int(mesh.nxt[run[-1]])):
             if end != NULL_ID and mesh.topo[end] == PNODE:
-                graph.point_at(mesh, end).connections.add((KIND_LINE, lid))
+                graph.point_at(mesh, end).connections.add(lid)
     # bare point-to-point interface edges carry a line of their own
+    lid = len(runs)
     for nid in sorted(adj):
         if mesh.topo[nid] != PNODE:
             continue
         for m in adj[nid]:
             if mesh.topo[m] == PNODE and nid < m:
-                lid = len(graph.lines)
-                graph.lines[lid] = Line(lid)
                 for end in (nid, m):
-                    graph.point_at(mesh, end).connections.add((KIND_LINE, lid))
+                    graph.point_at(mesh, end).connections.add(lid)
+                lid += 1
 
 
 def _link_runs(mesh: Mesh, adj: dict[int, list[int]]) -> list[list[int]]:
@@ -294,15 +281,24 @@ def lnodes_by_line(mesh: Mesh) -> dict[int, list[int]]:
     return out
 
 
+def line_ids(mesh: Mesh, graph: EntityGraph) -> set[int]:
+    """Ids of every line this partition knows: the lines of its L-nodes and
+    every line a point connects to."""
+    nids = mesh.alive_nodes()
+    out = set(mesh.entity[nids[mesh.topo[nids] == LNODE]].tolist())
+    for pt in graph.points.values():
+        out |= pt.connections
+    return out
+
+
 def bare_lines(pa: Point, pb: Point, members) -> list[int]:
     """Ids, ascending, of the lines joining two points that carry no L-node.
 
     ``members`` maps a line id to its L-nodes or to their count; a line it
     does not name has none.
     """
-    la = {lid for k, lid in pa.connections if k == KIND_LINE}
-    return sorted(lid for k, lid in pb.connections
-                  if k == KIND_LINE and lid in la and not members.get(lid))
+    return sorted(lid for lid in pa.connections & pb.connections
+                  if not members.get(lid))
 
 
 @dataclass

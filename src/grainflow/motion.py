@@ -18,12 +18,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.constants import R as GAS_CONSTANT
 
-from .entities import (KIND_LINE, KIND_POINT, EntityGraph, Line, Point,
-                       bare_lines, is_interface_edge, lnodes_by_line)
+from .entities import (EntityGraph, Point, bare_lines, is_interface_edge,
+                       lnodes_by_line)
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
                    MIN_AREA, Mesh, TopologyError, _tri_area,
                    is_domain_boundary_edge)
-from .state import KIND_ELEM, KIND_NODE
+from .state import KIND_ELEM, KIND_LINE, KIND_NODE, KIND_POINT
 
 MOBILITY_PREFACTOR = 1.56e11    # mm^4 / (J s)
 ACTIVATION_ENERGY = 2.8e5       # J / mol
@@ -188,12 +188,9 @@ def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
                 raise TopologyError(
                     f"no direct line between points {p_pt.id}, {x_pt.id}")
             moved_lids.add(direct[0])
-    p_pt.connections -= {(KIND_LINE, l) for l in moved_lids}
-    p_pt.connections.add((KIND_LINE, lid_new))
-    graph.points[m_pid] = Point(m_pid, m_nid,
-                                {(KIND_LINE, l) for l in moved_lids}
-                                | {(KIND_LINE, lid_new)})
-    graph.lines[lid_new] = Line(lid_new)
+    p_pt.connections -= moved_lids
+    p_pt.connections.add(lid_new)
+    graph.points[m_pid] = Point(m_pid, m_nid, moved_lids | {lid_new})
     return True
 
 

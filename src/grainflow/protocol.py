@@ -38,9 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .entities import (EntityGraph, KIND_LINE, Line, Point, Surface,
-                       line_segments, lnodes_by_line, reconstruct_entities,
-                       tag_nodes)
+from .entities import (EntityGraph, Point, line_segments, lnodes_by_line,
+                       reconstruct_entities, tag_nodes)
 from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
                        spline_curvature)
 from .mesh import LNODE, NULL_ID, PNODE, Mesh, TopologyError
@@ -205,9 +204,7 @@ def _point_connections(mesh, graph, nid):
     if pt is None:
         raise ProtocolError(f"P-node {nid} has no point entity")
     out = []
-    for kind, lid in sorted(pt.connections):
-        if kind != KIND_LINE:
-            continue
+    for lid in sorted(pt.connections):
         anchor = NULL_ID
         chained = [m for m in mesh.node_neighbors(nid)
                    if mesh.topo[m] == LNODE and int(mesh.entity[m]) == lid
@@ -219,7 +216,7 @@ def _point_connections(mesh, graph, nid):
                 if mesh.topo[m] != PNODE:
                     continue
                 other = graph.points.get(int(mesh.entity[m]))
-                if other is not None and (KIND_LINE, lid) in other.connections:
+                if other is not None and lid in other.connections:
                     anchor = m
                     break
         out.append((lid, anchor))
@@ -299,8 +296,6 @@ def scatter_mesh(transport: Transport, state: SimState,
     _apply_frames(mesh, graph, frames, report)
     if any(selections.values()):
         _prune_sent(mesh, graph, selections, report)
-    if report.received or any(selections.values()):
-        _sweep_graph(mesh, graph)
     detect_shared_nodes(transport, mesh)
     return report
 
@@ -328,7 +323,6 @@ def _apply_frames(mesh, graph, frames, report):
                     continue
                 mesh.add_node(n, (x, y), topo=topo, entity=entity, bnd=bnd)
                 report.touched_nodes.add(n)
-            graph.surfaces.setdefault(surf, Surface(surf))
             mesh.add_element(eid, tuple(corners), surf)
             report.received.append(eid)
             report.touched_nodes.update(corners)
@@ -340,7 +334,6 @@ def _apply_frames(mesh, graph, frames, report):
             continue
         if line == NULL_ID:
             raise ProtocolError(f"L-node {n} arrived without a line")
-        graph.lines.setdefault(line, Line(line))
         slot = links.setdefault(n, {"prv": set(), "nxt": set()})
         if prv != NULL_ID:
             slot["prv"].add(prv)
@@ -398,8 +391,7 @@ def _apply_point(mesh, graph, nid, pid, conns):
             raise ProtocolError(f"point {pid} connection without a line")
         if anchor != NULL_ID and mesh.alive_node(anchor) \
                 and mesh.n2e[nid] & mesh.n2e[anchor]:
-            graph.lines.setdefault(lid, Line(lid))
-            pt.connections.add((KIND_LINE, lid))
+            pt.connections.add(lid)
 
 
 def _prune_sent(mesh, graph, selections, report):
@@ -424,23 +416,6 @@ def _prune_sent(mesh, graph, selections, report):
     alive = mesh.alive_nodes()
     for arr in (mesh.prv, mesh.nxt):
         arr[alive[np.isin(arr[alive], removed)]] = NULL_ID
-
-
-def _sweep_graph(mesh, graph):
-    """Drop entity objects that no longer touch this partition."""
-    eids = mesh.alive_elems()
-    alive_surfs = {int(s) for s in np.unique(mesh.surf[eids])} if len(eids) else set()
-    for sid in [s for s in graph.surfaces if s not in alive_surfs]:
-        del graph.surfaces[sid]
-    for pid in [p for p, pt in graph.points.items()
-                if not mesh.alive_node(pt.node)]:
-        del graph.points[pid]
-    members = lnodes_by_line(mesh)
-    referenced = {lid for pt in graph.points.values()
-                  for kind, lid in pt.connections if kind == KIND_LINE}
-    for lid in [l for l in graph.lines
-                if l not in members and l not in referenced]:
-        del graph.lines[lid]
 
 
 # -- stencil completion ------------------------------------------------------
@@ -655,8 +630,8 @@ def velocity_plan(mesh: Mesh, graph: EntityGraph) -> VelocityPlan:
     shared_junctions = {n for n, mode, _, _ in plan.stencils
                         if mode == MODE_ARMS}
 
-    for lid in sorted(graph.lines):
-        for seg in line_segments(mesh, lid, members.get(lid, [])):
+    for lid in sorted(members):
+        for seg in line_segments(mesh, lid, members[lid]):
             ids = np.asarray(seg.nodes)
             if seg.closed:
                 plan.segments.append(PlannedSegment(

@@ -31,8 +31,8 @@ import numpy as np
 from collections import deque
 from itertools import combinations
 
-from .entities import (EntityGraph, KIND_LINE, bare_lines,
-                       is_interface_edge, lnodes_by_line)
+from .entities import (EntityGraph, bare_lines, is_interface_edge,
+                       lnodes_by_line)
 from .mesh import (Mesh, NULL_ID, PNODE, LNODE, SNODE, BND_NONE, BND_CORNER,
                    BND_TANGENT_X, BND_TANGENT_Y, TopologyError,
                    MIN_AREA, is_domain_boundary_edge, _tri_area)
@@ -95,18 +95,14 @@ class RemeshCtx:
         zero = bare_lines(pa, pb, self.line_count)
         return zero[0] if zero else None
 
-    def drop_elems(self, eids) -> list[int]:
-        """Remove elements; returns surface ids that ran out of elements."""
-        died = []
+    def drop_elems(self, eids) -> None:
+        """Remove elements, forgetting each surface that runs out of them."""
         for e in eids:
             s = int(self.mesh.surf[e])
             self.mesh.remove_element(e)
             self.surf_count[s] -= 1
             if self.surf_count[s] == 0:
                 del self.surf_count[s]
-                self.graph.surfaces.pop(s, None)
-                died.append(s)
-        return died
 
 
 # -- element quality ---------------------------------------------------------
@@ -279,10 +275,9 @@ def try_collapse(ctx: RemeshCtx, a: int, b: int) -> bool:
     elif mesh.topo[dead] == PNODE:
         dead_pt = graph.points.pop(int(mesh.entity[dead]))
         surv_pt = graph.points[int(mesh.entity[surv])]
-        graph.lines.pop(lid_vanish, None)
         ctx.line_count.pop(lid_vanish, None)
-        dead_pt.connections.discard((KIND_LINE, lid_vanish))
-        surv_pt.connections.discard((KIND_LINE, lid_vanish))
+        dead_pt.connections.discard(lid_vanish)
+        surv_pt.connections.discard(lid_vanish)
         surv_pt.connections |= dead_pt.connections
         for n in rel:
             if int(mesh.prv[n]) == dead:
@@ -325,10 +320,9 @@ def _demote_lnode(ctx: RemeshCtx, x: int, surf_id: int) -> None:
     # self-loop around a dead grain and disappears entirely
     if lp == ln and lp != NULL_ID and lp < len(mesh.node_alive) \
             and mesh.node_alive[lp] and mesh.topo[lp] == PNODE:
-        graph.lines.pop(lid, None)
         pt = graph.points.get(int(mesh.entity[lp]))
         if pt is not None:
-            pt.connections.discard((KIND_LINE, lid))
+            pt.connections.discard(lid)
 
 
 def _fuse_duplicate_lines(ctx: RemeshCtx, pnode: int) -> None:
@@ -344,9 +338,8 @@ def _fuse_duplicate_lines(ctx: RemeshCtx, pnode: int) -> None:
         if yt is None:
             continue
         for lid in bare_lines(pt, yt, ctx.line_count)[1:]:
-            graph.lines.pop(lid, None)
-            pt.connections.discard((KIND_LINE, lid))
-            yt.connections.discard((KIND_LINE, lid))
+            pt.connections.discard(lid)
+            yt.connections.discard(lid)
 
 
 def _kill_tiny_grain(ctx: RemeshCtx, eid: int) -> bool:
@@ -429,12 +422,11 @@ def _kill_tiny_grain(ctx: RemeshCtx, eid: int) -> bool:
             mesh.replace_node_in_element(e, g, surv)
         mesh.remove_node(g)
     mesh.pos[surv] = newpos
-    graph.lines.pop(lid, None)
     ctx.line_count.pop(lid, None)
     if mesh.topo[surv] == PNODE:
         pt = graph.points.get(int(mesh.entity[surv]))
         if pt is not None:
-            pt.connections.discard((KIND_LINE, lid))
+            pt.connections.discard(lid)
     else:
         remaining = _surf_set(mesh, surv)
         mesh.topo[surv] = SNODE

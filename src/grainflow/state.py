@@ -1,9 +1,9 @@
 """Per-worker simulation state: mesh, entity graph, id allocator, knobs.
 
-One allocator hands out the new ids of all five kinds: nodes, elements,
-points, lines and surfaces.  Worker r of n takes ids congruent to r modulo
-n, so workers never hand out clashing values.  Every kind starts above the
-highest id in use.  In a parallel run that ceiling must agree on every
+One allocator hands out the new ids of all four kinds: nodes, elements,
+points and lines; no operator makes a grain, so surfaces need none.
+Worker r of n takes ids congruent to r modulo n, so workers never hand out
+clashing values.  Every kind starts above the highest id in use.  In a parallel run that ceiling must agree on every
 worker before local allocation begins: migration frames carry ids from
 other workers, and a locally reused id could collide with a node that
 migrates in later.  In the bootstrap, rank 0 alone builds the starting
@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entities import EntityGraph, KIND_LINE, KIND_POINT, KIND_SURFACE
+from .entities import EntityGraph, line_ids
 from .mesh import Mesh
 
 KIND_NODE = "N"
 KIND_ELEM = "E"
+KIND_POINT = "P"
+KIND_LINE = "L"
 
 # the kinds in the order their ceilings travel
-ID_KINDS = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE, KIND_SURFACE)
+ID_KINDS = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE)
 
 # remeshing thresholds in units of h: edges shorter than COLLAPSE_FRAC
 # collapse, edges longer than SPLIT_FRAC split
@@ -35,7 +37,7 @@ def id_ceilings(mesh: Mesh, graph: EntityGraph) -> list[int]:
     """One past the highest id ``mesh`` and ``graph`` use, per kind of
     ``ID_KINDS``."""
     in_use = (mesh.alive_nodes(), mesh.alive_elems(), list(graph.points),
-              list(graph.lines), list(graph.surfaces))
+              list(line_ids(mesh, graph)))
     return [int(np.max(ids, initial=-1)) + 1 for ids in in_use]
 
 

@@ -10,12 +10,12 @@ from grainflow.mesh import (
     NULL_ID, PNODE, LNODE, SNODE, TopologyError, build_mesh,
 )
 from grainflow.entities import (
-    KIND_POINT, KIND_LINE, KIND_SURFACE, Point,
-    bare_lines, tag_nodes, reconstruct_entities,
+    Point, bare_lines, tag_nodes, reconstruct_entities, line_ids,
     lnodes_by_line, line_segments, recanonicalize_lines,
     is_interface_edge,
 )
-from grainflow.state import KIND_ELEM, KIND_NODE, IdAllocator
+from grainflow.state import (KIND_ELEM, KIND_LINE, KIND_NODE, KIND_POINT,
+                             IdAllocator)
 from grainflow.tessellation import tessellate
 
 from .conftest import grid_mesh, reconstructed
@@ -26,12 +26,17 @@ def nid_at(m, x, y):
     return int(m.alive_nodes()[np.argmin(d)])
 
 
-def surface_tags(m, g, tags):
+def surface_ids(m):
+    """The live surface ids, ascending."""
+    return np.unique(m.surf[m.alive_elems()]).tolist()
+
+
+def surface_tags(m, tags):
     """(surface id, element tag) per surface, sorted; ``tags`` is a copy of
     ``m.surf`` taken before reconstruction renumbered the surfaces."""
     eids = m.alive_elems()
     return sorted((sid, int(tags[eids[m.surf[eids] == sid][0]]))
-                  for sid in g.surfaces)
+                  for sid in surface_ids(m))
 
 
 def test_stride_counter():
@@ -58,8 +63,8 @@ def test_tag_junction(tjunction_mesh):
 
 def test_single_grain_square():
     m, g = reconstructed(grid_mesh(4, 4))
-    assert len(g.surfaces) == 1
-    assert len(g.lines) == 4
+    assert len(surface_ids(m)) == 1
+    assert len(line_ids(m, g)) == 4
     assert len(g.points) == 4
     assert set(np.unique(m.surf[m.alive_elems()])) == {0}
     assert {p.node for p in g.points.values()} == {0, 4, 20, 24}
@@ -70,11 +75,11 @@ def test_single_grain_square():
 def test_strip_reconstruction(strip_mesh):
     tags = strip_mesh.surf.copy()
     m, g = reconstructed(strip_mesh)
-    assert len(g.surfaces) == 2
-    assert len(g.lines) == 7
+    assert len(surface_ids(m)) == 2
+    assert len(line_ids(m, g)) == 7
     assert len(g.points) == 6
     # each grain is one surface of one original tag
-    assert sorted(t for _, t in surface_tags(m, g, tags)) == [0, 1]
+    assert sorted(t for _, t in surface_tags(m, tags)) == [0, 1]
     # interface chain x = 0.5 runs bottom P to top P through 7 L-nodes
     lid = int(m.entity[nid_at(m, 0.5, 0.5)])
     members = lnodes_by_line(m)[lid]
@@ -86,13 +91,13 @@ def test_strip_reconstruction(strip_mesh):
     # the wall junction point joins two wall lines plus the interface
     p = g.point_at(m, 4)
     assert len(p.connections) == 3
-    assert (KIND_LINE, lid) in p.connections
+    assert lid in p.connections
 
 
 def test_quadruple_reconstruction(quad_mesh):
     m, g = reconstructed(quad_mesh)
-    assert len(g.surfaces) == 4
-    assert len(g.lines) == 12
+    assert len(surface_ids(m)) == 4
+    assert len(line_ids(m, g)) == 12
     assert len(g.points) == 9
     center = nid_at(m, 0.5, 0.5)
     p = g.point_at(m, center)
@@ -102,8 +107,8 @@ def test_quadruple_reconstruction(quad_mesh):
 def test_closed_loop_line():
     m, g = reconstructed(grid_mesh(
         6, 6, tag_fn=lambda cx, cy: 1 if (1/3 < cx < 2/3 and 1/3 < cy < 2/3) else 0))
-    assert len(g.surfaces) == 2
-    assert len(g.lines) == 5
+    assert len(surface_ids(m)) == 2
+    assert len(line_ids(m, g)) == 5
     assert len(g.points) == 4
     loop_lid = int(m.entity[nid_at(m, 0.5, 1/3)])
     members = lnodes_by_line(m)[loop_lid]
@@ -138,10 +143,10 @@ def test_reconstruction_golden(seed):
     for name in ("entity", "prv", "nxt", "topo", "surf"):
         h.update(getattr(m, name).tobytes())
     h.update(repr((
-        sorted((pid, p.node, sorted(lid for _, lid in p.connections))
+        sorted((pid, p.node, sorted(p.connections))
                for pid, p in g.points.items()),
-        sorted(g.lines),
-        surface_tags(m, g, tags),
+        sorted(line_ids(m, g)),
+        surface_tags(m, tags),
     )).encode())
     assert h.hexdigest() == GOLDEN_RECONSTRUCTION[seed]
 
@@ -150,13 +155,13 @@ def test_stride_ids_per_rank(strip_mesh):
     # reconstruction numbers each kind 0, 1, 2, ...; rank 1 of 3 then
     # allocates above the highest id in use, in its own residue class
     m, g = reconstructed(strip_mesh)
-    assert sorted(g.surfaces) == [0, 1]
-    assert sorted(g.lines) == list(range(7))
+    assert surface_ids(m) == [0, 1]
+    assert sorted(line_ids(m, g)) == list(range(7))
     assert sorted(g.points) == list(range(6))
     alloc = IdAllocator.above(m, g, rank=1, stride=3)
-    kinds = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE, KIND_SURFACE)
-    assert [alloc.take(k) for k in kinds] == [82, 130, 7, 7, 4]
-    assert [alloc.take(k) for k in kinds] == [85, 133, 10, 10, 7]
+    kinds = (KIND_NODE, KIND_ELEM, KIND_POINT, KIND_LINE)
+    assert [alloc.take(k) for k in kinds] == [82, 130, 7, 7]
+    assert [alloc.take(k) for k in kinds] == [85, 133, 10, 10]
 
 
 def test_element_order_invariance():
@@ -246,10 +251,8 @@ def test_is_interface_edge(strip_mesh):
 @given(st.sets(st.integers(0, 8)), st.sets(st.integers(0, 8)),
        st.dictionaries(st.integers(0, 8), st.integers(0, 3)))
 def test_bare_lines_counts_and_members_agree(la, lb, counts):
-    # a surface connection sharing a line's id must not make it common
-    pa = Point(0, 0, {(KIND_LINE, l) for l in la}
-               | {(KIND_SURFACE, l) for l in lb})
-    pb = Point(1, 1, {(KIND_LINE, l) for l in lb})
+    pa = Point(0, 0, set(la))
+    pb = Point(1, 1, set(lb))
     members = {lid: list(range(10, 10 + c)) for lid, c in counts.items()}
     got = bare_lines(pa, pb, counts)
     assert got == bare_lines(pa, pb, members) == bare_lines(pb, pa, counts)

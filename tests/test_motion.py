@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from grainflow.entities import (KIND_LINE, is_interface_edge, lnodes_by_line,
+from grainflow.entities import (is_interface_edge, line_ids, lnodes_by_line,
                                 recanonicalize_lines)
 from grainflow.geometry import junction_curvature
 from grainflow.mesh import (BND_CORNER, BND_NONE, BND_TANGENT_X, LNODE, PNODE,
@@ -77,7 +77,7 @@ def test_disk_island_reconstructs_one_loop():
     assert len(graph.points) == 4  # the domain corners only
     loops = [lid for lid, m in lnodes_by_line(mesh).items() if len(m) == 16]
     assert len(loops) == 1
-    assert len(graph.surfaces) == 2
+    assert len(np.unique(mesh.surf[mesh.alive_elems()])) == 2
 
 
 def test_velocity_shrinks_circular_grain():
@@ -157,13 +157,13 @@ def test_decompose_quadruple_point(quad_mesh):
     mesh, graph = reconstructed(quad_mesh)
     p = quad_center_node(mesh)
     assert len(arms_of(mesh, graph, p)) == 4
-    n_pts, n_lines = len(graph.points), len(graph.lines)
+    n_pts, n_lines = len(graph.points), len(line_ids(mesh, graph))
     area0 = total_area(mesh)
     state = make_state(mesh, graph, h=0.125)
     n = decompose_junctions(mesh, graph, state.alloc, state.params)
     assert n == 1
     assert len(graph.points) == n_pts + 1
-    assert len(graph.lines) == n_lines + 1
+    assert len(line_ids(mesh, graph)) == n_lines + 1
     assert len(arms_of(mesh, graph, p)) == 3
     m_pid = max(graph.points)
     m_node = graph.points[m_pid].node
@@ -198,9 +198,7 @@ def test_decompose_direct_line_arms(direct_line_mesh):
     m_node = graph.points[m_pid].node
     assert len(arms_of(mesh, graph, m_node)) == 3
     # both peeled arms reconnect to the new point in the entity graph
-    conns = {lid for k, lid in graph.points[m_pid].connections
-             if k == KIND_LINE}
-    assert len(conns) == 3
+    assert len(graph.points[m_pid].connections) == 3
     assert np.all(mesh.areas() > 0.0)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-12)
     recanonicalize_lines(mesh)

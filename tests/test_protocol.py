@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from grainflow import geometry
 from grainflow import protocol as pr
 from grainflow import runner
-from grainflow.entities import (EntityGraph, KIND_LINE, KIND_POINT,
-                                KIND_SURFACE)
+from grainflow.entities import EntityGraph, line_ids
 from grainflow.geometry import NATURAL, NOT_A_KNOT, PERIODIC
 from grainflow.mesh import (LNODE, MIN_AREA, NULL_ID, PNODE, SNODE, Mesh,
                             TopologyError)
@@ -29,7 +28,8 @@ from grainflow.partitioning import initial_partition
 from grainflow.remesh import (RemeshCtx, settle_offsets, split_edge,
                               try_collapse, try_swap)
 from grainflow.runner import RunConfig, run
-from grainflow.state import ID_KINDS, KIND_ELEM, KIND_NODE, RemeshParams
+from grainflow.state import (ID_KINDS, KIND_ELEM, KIND_LINE, KIND_NODE,
+                             KIND_POINT, RemeshParams)
 from grainflow.transport import run_workers
 from grainflow.wire import (IDS, MIGRATION, MODE_ARMS, MODE_CHAIN, SPEEDS,
                            SUPPORT, decode_arrays, encode_arrays)
@@ -448,7 +448,7 @@ def mesh_digest(mesh: Mesh, graph: EntityGraph) -> str:
         h.update(getattr(mesh, name).tobytes())
     for table in (mesh.n2e, mesh.shared):
         h.update(repr(sorted((n, sorted(s)) for n, s in table.items())).encode())
-    h.update(repr((sorted(graph.surfaces), sorted(graph.lines),
+    h.update(repr((sorted(line_ids(mesh, graph)),
                    sorted((pid, p.node, sorted(p.connections))
                           for pid, p in graph.points.items()))).encode())
     return h.hexdigest()
@@ -885,7 +885,8 @@ GOLDEN_STATE_SHA256 = \
 
 
 def state_sha256(mesh: Mesh, graph: EntityGraph) -> str:
-    """Digest of the exact live mesh arrays and the sorted entity ids."""
+    """Digest of the exact live mesh arrays and the sorted surface, line and
+    point ids."""
     h = hashlib.sha256()
     nodes, elems = mesh.alive_nodes(), mesh.alive_elems()
     for a, dtype in ((nodes, np.int64), (mesh.pos[nodes], np.float64),
@@ -893,8 +894,8 @@ def state_sha256(mesh: Mesh, graph: EntityGraph) -> str:
                      (mesh.entity[nodes], np.int64),
                      (elems, np.int64), (mesh.tri[elems], np.int64),
                      (mesh.surf[elems], np.int64),
-                     (sorted(graph.surfaces), np.int64),
-                     (sorted(graph.lines), np.int64),
+                     (np.unique(mesh.surf[elems]), np.int64),
+                     (sorted(line_ids(mesh, graph)), np.int64),
                      (sorted(graph.points), np.int64)):
         h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
     return h.hexdigest()
@@ -970,6 +971,10 @@ def test_scatter_leaves_no_link_to_a_node_not_held(tmp_path, monkeypatch):
             for m in (int(mesh.prv[n]), int(mesh.nxt[n])):
                 if m != NULL_ID and not mesh.alive_node(m):
                     stale.append((transport.rank, n, m))
+        # no point outlives its junction node
+        for pid, pt in state.graph.points.items():
+            if not mesh.alive_node(pt.node):
+                stale.append((transport.rank, pt.node, pid))
         return report
 
     monkeypatch.setattr(pr, "scatter_mesh", checked_scatter)
@@ -1080,8 +1085,7 @@ def test_bootstrap_ids_stride_disjoint():
     ceilings = {KIND_NODE: int(full.alive_nodes().max()) + 1,
                 KIND_ELEM: int(full.alive_elems().max()) + 1,
                 KIND_POINT: max(graph.points) + 1,
-                KIND_LINE: max(graph.lines) + 1,
-                KIND_SURFACE: max(graph.surfaces) + 1}
+                KIND_LINE: max(line_ids(full, graph)) + 1}
 
     def worker(t):
         st = booted(t, make_tjunction, x_split)
@@ -1109,18 +1113,18 @@ BOOT_SHA256 = {
 
 def boot_sha256(state) -> str:
     """Digest of the live node ids and node data, the elements, each point
-    with its node and sorted connections, the line and surface ids and the
-    next id of each kind, which it takes from ``state.alloc``."""
+    with its node and sorted connections, the line and live surface ids and
+    the next id of each kind, which it takes from ``state.alloc``."""
     mesh, graph = state.mesh, state.graph
     nodes, elems = mesh.alive_nodes(), mesh.alive_elems()
     arrays = [nodes, mesh.pos[nodes]]
     arrays += [getattr(mesh, a)[nodes]
                for a in ("topo", "entity", "bnd", "prv", "nxt")]
     arrays += [elems, mesh.tri[elems], mesh.surf[elems]]
-    arrays += [[pid, pt.node, *(lid for _, lid in sorted(pt.connections))]
+    arrays += [[pid, pt.node, *sorted(pt.connections)]
                for pid, pt in sorted(graph.points.items())]
-    arrays += [sorted(graph.lines), sorted(graph.surfaces),
-               [state.alloc.take(k) for k in ID_KINDS if k != KIND_SURFACE]]
+    arrays += [sorted(line_ids(mesh, graph)), np.unique(mesh.surf[elems]),
+               [state.alloc.take(k) for k in ID_KINDS]]
     h = hashlib.sha256()
     for a in map(np.asarray, arrays):
         dtype = np.float64 if a.dtype.kind == "f" else np.int64
@@ -1174,7 +1178,7 @@ def test_bootstrap_rejects_a_ceiling_frame_of_other_length():
     def build():
         raise AssertionError("only rank 0 builds")
 
-    for ceilings in ([], [1, 2, 3, 4], [1, 2, 3, 4, 5, 6]):
+    for ceilings in ([], [1, 2, 3], [1, 2, 3, 4, 5]):
         with pytest.raises(pr.ProtocolError,
                            match=f"worker 0 sent {len(ceilings)} id"):
             pr.bootstrap_state(SentByRank0(ceilings), build, H)
@@ -1191,7 +1195,7 @@ def test_point_connects_only_through_a_held_arm():
     mesh.add_node(5, (3.0, 0.0), topo=LNODE, entity=7)
     mesh.add_element(1, (2, 5, 4), 0)
     pr._apply_point(mesh, graph, 1, 50, [(8, 2), (7, 5)])
-    assert graph.points[50].connections == {(KIND_LINE, 8)}
+    assert graph.points[50].connections == {8}
 
 
 def test_walk_outward_stops_at_junction():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grainflow.entities import (KIND_LINE, lnodes_by_line,
+from grainflow.entities import (line_ids, lnodes_by_line,
                                 recanonicalize_lines)
 from grainflow.mesh import (BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, LNODE,
                             MIN_AREA, NULL_ID, PNODE, SNODE, build_mesh)
@@ -36,7 +36,10 @@ def assert_ctx_counts(ctx):
     assert ctx.line_count == lm
     sc = Counter(int(s) for s in ctx.mesh.surf[ctx.mesh.alive_elems()])
     assert ctx.surf_count == dict(sc)
-    assert set(ctx.graph.surfaces) == set(ctx.surf_count)
+
+
+def live_surfaces(mesh):
+    return {int(s) for s in mesh.surf[mesh.alive_elems()]}
 
 
 def total_area(mesh):
@@ -223,20 +226,18 @@ def test_collapse_junction_pair_merges_lines():
     assert mesh.topo[center] == PNODE and mesh.topo[south] == PNODE
     pid_c = int(mesh.entity[center])
     pid_s = int(mesh.entity[south])
-    n_lines = len(graph.lines)
+    n_lines = len(line_ids(mesh, graph))
     area0 = total_area(mesh)
     ctx = make_ctx(mesh, graph, h=1.0)
     assert try_collapse(ctx, center, south)
     assert not mesh.node_alive[center]
     assert np.array_equal(mesh.pos[south], (0.5, 0.0))
     assert pid_c not in graph.points
-    assert len(graph.lines) == n_lines - 1
+    assert len(line_ids(mesh, graph)) == n_lines - 1
     # the survivor keeps its two wall lines and inherits the dead
     # junction's three other interface lines; the collapsed line is gone
-    conns = {lid for k, lid in graph.points[pid_s].connections
-             if k == KIND_LINE}
-    assert len(conns) == 5
-    assert len(graph.surfaces) == 4
+    assert len(graph.points[pid_s].connections) == 5
+    assert len(live_surfaces(mesh)) == 4
     assert total_area(mesh) == pytest.approx(area0, abs=1e-12)
     assert all_positive(mesh)
     assert_ctx_counts(ctx)
@@ -267,7 +268,7 @@ def test_lens_mesh_classes():
     mesh, graph = lens_mesh()
     assert mesh.topo[1] == LNODE
     assert mesh.topo[0] == PNODE and mesh.topo[2] == PNODE
-    assert len(graph.surfaces) == 3
+    assert len(live_surfaces(mesh)) == 3
     assert {int(mesh.prv[1]), int(mesh.nxt[1])} == {0, 2}
 
 
@@ -292,9 +293,9 @@ def test_collapse_lens_death():
     assert lid_direct is not None
     assert try_collapse(ctx, 0, 2)
     # grain B, both of its lines and the absorbed junction are gone
-    assert b_sid not in graph.surfaces
-    assert lid_direct not in graph.lines
-    assert lid_chain not in graph.lines
+    assert b_sid not in live_surfaces(mesh)
+    assert lid_direct not in line_ids(mesh, graph)
+    assert lid_chain not in line_ids(mesh, graph)
     assert pid_dead not in graph.points
     assert not mesh.node_alive[2]
     # the chain node loses its interface and becomes a bulk node
@@ -303,9 +304,7 @@ def test_collapse_lens_death():
     assert patch_surfs == {int(mesh.entity[1])}
     assert int(mesh.prv[1]) == NULL_ID and int(mesh.nxt[1]) == NULL_ID
     # the survivor keeps its two wall-bound junction lines
-    conns = {lid for k, lid in
-             graph.points[int(mesh.entity[0])].connections if k == KIND_LINE}
-    assert len(conns) == 2
+    assert len(graph.points[int(mesh.entity[0])].connections) == 2
     assert total_area(mesh) == pytest.approx(area0, abs=1e-12)
     assert all_positive(mesh)
     assert_ctx_counts(ctx)
@@ -337,8 +336,8 @@ def test_kill_island_grain():
     ctx = make_ctx(mesh, graph, h=1.0)
     stats = collapse_sweep(ctx)
     assert stats.killed == 1
-    assert b_sid not in graph.surfaces
-    assert lid not in graph.lines
+    assert b_sid not in live_surfaces(mesh)
+    assert lid not in line_ids(mesh, graph)
     # the three loop nodes merge into one bulk node
     assert mesh.node_alive[0] and not mesh.node_alive[1] \
         and not mesh.node_alive[2]
@@ -661,7 +660,6 @@ def test_remesh_pass_repairs_jiggled_mesh(monkeypatch):
     assert_ctx_counts(made[0])
     assert all_positive(mesh)
     assert total_area(mesh) == pytest.approx(1.0, abs=1e-9)
-    assert set(graph.surfaces) == {int(s) for s in mesh.surf[mesh.alive_elems()]}
     edges = mesh.edge_array()
     ln = np.linalg.norm(mesh.pos[edges[:, 0]] - mesh.pos[edges[:, 1]], axis=1)
     assert ln.max() <= state.params.delta_s + 1e-12
