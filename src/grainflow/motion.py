@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.constants import R as GAS_CONSTANT
 
-from .entities import (EntityGraph, Point, bare_lines, is_interface_edge,
-                       lnodes_by_line)
+from .entities import EntityGraph, Point, bare_lines, lnodes_by_line
 from .mesh import (BND_CORNER, BND_TANGENT_X, BND_TANGENT_Y, LNODE, PNODE,
                    MIN_AREA, Mesh, TopologyError, _tri_area,
                    is_domain_boundary_edge)
@@ -102,11 +101,15 @@ def _patch_ring(mesh: Mesh, nid: int) -> tuple[list[int], bool]:
         ring.append(nxt)
 
 
-def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
-                    delta: float) -> bool:
-    """Peel the closest non-wall arm pair of a junction onto a new point."""
+def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, members,
+                    nid: int, delta: float) -> bool:
+    """Peel the closest non-wall arm pair of a junction onto a new point.
+
+    ``members`` is ``lnodes_by_line(mesh)``; a peel leaves it valid, since
+    it moves no L-node and its new line has none."""
     ring, closed = _patch_ring(mesh, nid)
-    arms = [x for x in ring if is_interface_edge(mesh, nid, x)]
+    arm_set = set(junction_arms(mesh, graph, members, nid))
+    arms = [x for x in ring if x in arm_set]
     if len(arms) <= 3:
         return False
     center = mesh.pos[nid].copy()
@@ -160,7 +163,6 @@ def _split_junction(mesh: Mesh, graph: EntityGraph, alloc, nid: int,
         if d < 0.1 * delta:
             return False
 
-    members = lnodes_by_line(mesh)
     p_pt = graph.point_at(mesh, nid)
     m_nid = alloc.take(KIND_NODE)
     m_pid = alloc.take(KIND_POINT)
@@ -201,6 +203,7 @@ def decompose_junctions(mesh: Mesh, graph: EntityGraph, alloc, params) -> int:
     all local, so no single owner could peel them consistently.
     """
     delta = JUNCTION_OFFSET_FRAC * params.h
+    members = lnodes_by_line(mesh)
     done = 0
     for pid in sorted(graph.points):
         pt = graph.points.get(pid)
@@ -208,6 +211,6 @@ def decompose_junctions(mesh: Mesh, graph: EntityGraph, alloc, params) -> int:
             continue
         if mesh.is_shared(pt.node):
             continue
-        while _split_junction(mesh, graph, alloc, pt.node, delta):
+        while _split_junction(mesh, graph, alloc, members, pt.node, delta):
             done += 1
     return done
