@@ -43,8 +43,7 @@ from .entities import (EntityGraph, Point, line_segments, lnodes_by_line,
 from .geometry import (NATURAL, NOT_A_KNOT, PERIODIC, junction_curvature,
                        spline_curvature)
 from .mesh import LNODE, NULL_ID, PNODE, Mesh, TopologyError
-from .motion import (constrain_to_walls, decompose_junctions, junction_arms,
-                     reduced_mobility)
+from .motion import constrain_to_walls, decompose_junctions, junction_arms
 from .remesh import remesh_pass, settle_offsets
 from .state import ID_KINDS, IdAllocator, RemeshParams, SimState, id_ceilings
 from .transport import Transport
@@ -759,7 +758,7 @@ def parallel_move(transport: Transport, mesh: Mesh, nodes: np.ndarray,
 # -- the increment -----------------------------------------------------------
 
 def parallel_increment(transport: Transport, state: SimState, dt: float,
-                       mobility: float | None = None):
+                       mobility: float):
     """One evolution increment of this worker, in lockstep with its peers.
 
     Maintenance first with boundary operations blocked, then load balancing
@@ -778,8 +777,6 @@ def parallel_increment(transport: Transport, state: SimState, dt: float,
     A single worker runs the same steps: it shares no nodes,
     sends no elements and its second maintenance pass has nothing in scope.
     """
-    if mobility is None:
-        mobility = reduced_mobility()
     mesh, graph = state.mesh, state.graph
     pre_shared = set(mesh.shared)
     stats = remesh_pass(state)

@@ -115,10 +115,12 @@ def _due(cfg: RunConfig, inc: int) -> bool:
     return cfg.output_every > 0 and inc % cfg.output_every == 0
 
 
-def _record(t: float, areas: np.ndarray, counts, wall: float) -> StatsRecord:
+def _record(t: float, areas: np.ndarray, counts) -> StatsRecord:
+    """One stats.csv row; its ``inc_wall_s`` is 0.0, so the file stays
+    byte-identical between runs (wall times go to timings.csv)."""
     return StatsRecord(t=t, grains=len(areas),
                        mean_size_mm=mean_grain_size_weighted(areas),
-                       erom=erom(counts), inc_wall_s=wall,
+                       erom=erom(counts), inc_wall_s=0.0,
                        elements=tuple(int(c) for c in counts))
 
 
@@ -146,7 +148,7 @@ class _Emitter:
         """Record one increment; ``piece`` is the merged mesh arrays when a
         snapshot is due, else None."""
         self._row("stats.csv",
-                  stats_row(_record(inc * self.cfg.dt, areas, counts, 0.0)))
+                  stats_row(_record(inc * self.cfg.dt, areas, counts)))
         if inc > 0:
             self._row("timings.csv", timings_row(inc, wall))
         if piece is not None:

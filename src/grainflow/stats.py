@@ -17,7 +17,7 @@ from .mesh import Mesh
 
 # 25 uniform radius bins; grains past the top edge are counted in the last
 # bin so the surface fractions always sum to one
-DEFAULT_EDGES = np.linspace(0.0, 0.06, 26)
+HIST_EDGES = np.linspace(0.0, 0.06, 26)
 
 
 def surface_areas(mesh: Mesh):
@@ -51,15 +51,13 @@ def mean_grain_size_weighted(areas) -> float:
     return float(np.sum(areas * equivalent_radii(areas)) / np.sum(areas))
 
 
-def grain_size_histogram(areas, edges: np.ndarray | None = None) -> np.ndarray:
-    """Surface-fraction histogram of equivalent radii over ``edges``."""
+def grain_size_histogram(areas) -> np.ndarray:
+    """Surface-fraction histogram of equivalent radii over ``HIST_EDGES``."""
     areas = np.asarray(areas, dtype=np.float64)
     if len(areas) == 0:
         raise ValueError("no grains")
-    if edges is None:
-        edges = DEFAULT_EDGES
-    radii = np.clip(equivalent_radii(areas), edges[0], edges[-1])
-    hist, _ = np.histogram(radii, bins=edges, weights=areas)
+    radii = np.clip(equivalent_radii(areas), HIST_EDGES[0], HIST_EDGES[-1])
+    hist, _ = np.histogram(radii, bins=HIST_EDGES, weights=areas)
     return hist / np.sum(areas)
 
 
@@ -118,14 +116,11 @@ def read_stats_csv(path) -> list[StatsRecord]:
     return out
 
 
-def write_hist_csv(path, fractions: np.ndarray,
-                   edges: np.ndarray | None = None) -> None:
-    if edges is None:
-        edges = DEFAULT_EDGES
+def write_hist_csv(path, fractions: np.ndarray) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["r_lo_mm", "r_hi_mm", "surface_fraction"])
-        for lo, hi, frac in zip(edges[:-1], edges[1:], fractions):
+        for lo, hi, frac in zip(HIST_EDGES[:-1], HIST_EDGES[1:], fractions):
             w.writerow([repr(float(lo)), repr(float(hi)), repr(float(frac))])
 
 

@@ -37,10 +37,10 @@ SNAP = 1e-6
 LIFT_EPS = 1e-9
 
 
-def lognormal_sigma(median: float = MEDIAN_RADIUS,
-                    std: float = RADIUS_STD) -> float:
-    """Log-space sigma reproducing the requested real-space spread."""
-    q = (std / median) ** 2
+def lognormal_sigma() -> float:
+    """Log-space sigma reproducing the real-space spread ``RADIUS_STD``
+    about ``MEDIAN_RADIUS``."""
+    q = (RADIUS_STD / MEDIAN_RADIUS) ** 2
     u = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * q))
     return float(np.sqrt(np.log(u)))
 

@@ -42,7 +42,7 @@ def arms_of(mesh, graph, nid):
     return junction_arms(mesh, graph, lnodes_by_line(mesh), nid)
 
 
-def increment(state, dt, mobility=None):
+def increment(state, dt, mobility=reduced_mobility()):
     return one_rank(lambda t: parallel_increment(t, state, dt, mobility))
 
 

@@ -988,7 +988,7 @@ def test_parallel_increment_two_workers_consistent():
         st = booted(t, make_tjunction, x_split)
         shared_traj = []
         for _ in range(3):
-            pr.parallel_increment(t, st, DT)
+            pr.parallel_increment(t, st, DT, reduced_mobility())
             pr.check_shared_agreement(t, st.mesh)
             shared_traj.append({int(n): st.mesh.pos[n].copy()
                                 for n in st.mesh.shared})

@@ -143,7 +143,7 @@ def test_hist_csv_round_trip(tmp_path):
     gs.write_hist_csv(path, hist)
     back, edges = gs.read_hist_csv(path)
     np.testing.assert_array_equal(back, hist)
-    np.testing.assert_allclose(edges, gs.DEFAULT_EDGES, atol=1e-15)
+    np.testing.assert_allclose(edges, gs.HIST_EDGES, atol=1e-15)
 
 
 def test_timings_csv(tmp_path):

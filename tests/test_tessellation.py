@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from grainflow.motion import reduced_mobility
 from grainflow.protocol import parallel_increment
 from grainflow.state import IdAllocator, RemeshParams, SimState
 from grainflow.tessellation import (_edge_points, _snap_key, laguerre_cells,
@@ -111,6 +112,7 @@ def test_generated_mesh_evolves():
                      alloc=IdAllocator.above(mesh, graph),
                      params=RemeshParams(h=0.004))
     for _ in range(2):
-        one_rank(lambda t: parallel_increment(t, state, dt=10.0))
+        one_rank(lambda t: parallel_increment(t, state, 10.0,
+                                              reduced_mobility()))
     assert np.all(mesh.areas() > 0.0)
     assert float(mesh.areas().sum()) == pytest.approx(0.13 * 0.13, abs=1e-9)
