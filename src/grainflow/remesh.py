@@ -24,7 +24,7 @@ candidate is retried on a later pass once the surrounding mesh has changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from grainflow.mesh import Mesh, build_mesh

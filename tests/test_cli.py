@@ -2,7 +2,6 @@
 rerun determinism, and the sequential/parallel smoke paths."""
 
 import gc
-import os
 import sys
 import warnings
 

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from grainflow.entities import (line_ids, lnodes_by_line,
                                 recanonicalize_lines)
-from grainflow.mesh import (BND_NONE, BND_TANGENT_X, BND_TANGENT_Y, LNODE,
-                            MIN_AREA, NULL_ID, PNODE, SNODE, build_mesh)
+from grainflow.mesh import (BND_NONE, BND_TANGENT_X, LNODE, MIN_AREA, NULL_ID,
+                            PNODE, SNODE, build_mesh)
 from grainflow.remesh import (RemeshCtx, settle_offsets,
                               collapse_sweep, element_qualities, glide_line,
                               remesh_pass, smooth_bulk, split_edge,
