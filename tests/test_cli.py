@@ -306,13 +306,24 @@ def test_m_par2_seed11_survives_ten_increments(tmp_path):
     assert final_area(tmp_path, 10) == pytest.approx(0.09, rel=1e-9)
 
 
-def test_m_par2_seed5_survives_six_increments(tmp_path):
+def test_m_par2_seed5_survives_sixteen_increments(tmp_path):
     # the benchmark's M problem at seed 5 on two workers, kept as found:
     # the scoped second remesh pass read surface counts taken before the
-    # scatter and raised KeyError: 43 at increment 6
-    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=6,
+    # scatter and raised KeyError: 43 at increment 6; once that was mended,
+    # the run raised "chain conflict at node 1666" at increment 16
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=16,
                   n_parts=2, output_every=5, seed=5, out=str(tmp_path)))
-    assert len(read_stats_csv(tmp_path / "stats.csv")) == 7
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 17
+    assert final_area(tmp_path, 16) == pytest.approx(0.09, rel=1e-9)
+
+
+def test_m_par2_seed0_survives_twenty_increments(tmp_path):
+    # the benchmark's M problem at seed 0 on two workers, kept as found: it
+    # raised "chain conflict at node 1044" at increment 20
+    run(RunConfig(domain=0.3, grains=60, h=0.004, dt=10.0, increments=20,
+                  n_parts=2, output_every=5, seed=0, out=str(tmp_path)))
+    assert len(read_stats_csv(tmp_path / "stats.csv")) == 21
+    assert final_area(tmp_path, 20) == pytest.approx(0.09, rel=1e-9)
 
 
 def test_m_par2_seed3_survives_fifteen_increments(tmp_path):
