@@ -2,12 +2,14 @@
 
 Both the boundary network and the grain interiors are meshed.  Nodes are
 classed by topological degree (P at junctions, L on boundary lines, S in the
-bulk), geometric entities (points, lines, surfaces) are reconstructed on top
-of them, and each increment combines selective remeshing, spline curvature,
-junction kinetics and Lagrangian motion.  The engine runs partitioned over a
-message transport, with entity identities kept consistent across workers; a
-sequential run is the one-worker case of the same code.  Output is gathered
-as plain arrays and written by rank 0 without rebuilding a mesh.
+bulk), and geometric entities are reconstructed on top of them: surfaces as
+element tags, lines as the entity ids of their L-nodes, and junction points
+that name the lines ending there.  Each increment combines selective
+remeshing, spline curvature, junction kinetics and Lagrangian motion.  The
+engine runs partitioned over a message transport, with entity identities
+kept consistent across workers; a sequential run is the one-worker case of
+the same code.  Output is gathered as plain arrays and written by rank 0
+without rebuilding a mesh.
 
 Core modules:
     mesh          array-backed triangular mesh, ids never reused

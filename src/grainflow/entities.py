@@ -9,21 +9,19 @@ there.  Reconstruction numbers each kind 0, 1, 2, ... in discovery order,
 so every worker that reconstructs the same mesh gets the same ids; entities
 created later take theirs from the worker's ``state.IdAllocator``.
 
-Only points are objects.  A surface is the element tag ``Mesh.surf`` and
-lives as long as one of its elements does.  A line is named by the
-``Mesh.entity`` of its L-nodes and by the connections of the points it
-ends at (``line_ids``); a line whose interior nodes all collapsed away has
-no L-nodes and lives on as a single mesh edge between two points that both
-name it.
-
-A line is stored implicitly: each of its L-nodes carries the line id plus
-links to the previous and next node on the chain (NULL_ID at a break, a
-P-node id at an attached endpoint).  A line crossing into another partition
-is therefore just a chain that stops early; segments can always be retraced
-locally from the element tags.  One tracer writes these links from the
-interface edges, in a canonical orientation: reconstruction numbers its
-lines by the runs it traces, and ``recanonicalize_lines`` reruns it on an
-evolved mesh.
+Only points are objects; the ``EntityGraph`` holds them by id.  A surface
+is the element tag ``Mesh.surf`` and lives as long as one of its elements
+does.  A line is stored implicitly: each of its L-nodes carries the line id
+plus links to the previous and next node on the chain (NULL_ID at a break,
+a P-node id at an attached endpoint), and the points it ends at name it in
+their connections; ``line_ids`` collects both.  A line crossing into
+another partition is therefore just a chain that stops early; segments can
+always be retraced locally from the element tags.  A line whose interior
+nodes all collapsed away has no L-nodes and lives on as a single mesh edge
+between two points that both name it.  One tracer writes the chain links
+from the interface edges, in a canonical orientation: reconstruction
+numbers its lines by the runs it traces, and ``recanonicalize_lines``
+reruns it on an evolved mesh.
 """
 
 from __future__ import annotations
